@@ -42,11 +42,16 @@ __all__ = [
     "time_window",
     "variant_extrema",
     "sweep",
+    "InvalidThreadCount",
 ]
 
 MHZ_TO_ANGULAR = 2.0 * math.pi  # ordinary MHz -> rad/us
 
 VARIANT_KINDS = ("original", "twin_ramp1", "twin_ramp2")
+
+
+class InvalidThreadCount(ValueError):
+    """QUASIWORK_THREADS is set to something other than a positive integer."""
 
 
 @dataclass(frozen=True)
@@ -245,8 +250,10 @@ def sweep(config: SweepConfig) -> tuple[list[SweepRecord], SweepSummary]:
     Honors the QUASIWORK_THREADS environment variable for process-parallel
     execution; results are identical to the serial run because every set owns
     an index-keyed substream and records are reassembled in index order.
+    Unset or empty means one worker; any other value that is not a positive
+    integer raises InvalidThreadCount.
     """
-    workers = int(os.environ.get("QUASIWORK_THREADS", "1") or "1")
+    workers = _worker_count()
     results: list[SweepRecord | None]
     if workers > 1 and config.n_sets >= 4 * workers:
         chunk = (config.n_sets + workers - 1) // workers
@@ -264,6 +271,19 @@ def sweep(config: SweepConfig) -> tuple[list[SweepRecord], SweepSummary]:
     records = [r for r in results if r is not None]
     summary = _summarize(records, config, n_skipped=len(results) - len(records))
     return records, summary
+
+
+def _worker_count() -> int:
+    raw = os.environ.get("QUASIWORK_THREADS", "")
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidThreadCount(f"QUASIWORK_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _summarize(records: list[SweepRecord], config: SweepConfig, n_skipped: int) -> SweepSummary:

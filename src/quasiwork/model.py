@@ -25,7 +25,6 @@ frame change makes the generator time independent:
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "EnergyBasis",
     "UnsupportedIndex",
     "InvalidSpec",
-    "NearDegenerateSpectrum",
     "gell_mann",
     "spin_ops",
     "hamiltonian_rot",
@@ -67,10 +65,6 @@ class UnsupportedIndex(ValueError):
 
 class InvalidSpec(ValueError):
     """Initial-state specification violates its invariants."""
-
-
-class NearDegenerateSpectrum(UserWarning):
-    """Instantaneous eigenvalues nearly collide; energy labels may be unstable."""
 
 
 @dataclass(frozen=True)
@@ -195,19 +189,10 @@ class EnergyBasis:
 def energy_basis(t: float, params: DriveParams) -> EnergyBasis:
     """Diagonalize H(t) and repackage with (+, 0, -) labels.
 
-    Warns NearDegenerateSpectrum when the smallest eigenvalue gap drops
-    below 1e-6 * ||H||; labels are then not trustworthy.
+    The spectrum is always (+W, 0, -W) with W = sqrt((omega1^2 + omega2^2)/2)
+    > 0, so the labels never collide.
     """
-    h = hamiltonian_rot(t, params)
-    eig = herm_eig(h)
-    gaps = np.diff(eig.values)
-    scale = max(float(np.linalg.norm(h, 2)), 1e-300)
-    if np.min(gaps) < 1e-6 * scale:
-        warnings.warn(
-            f"eigenvalue gap {np.min(gaps):.3e} below 1e-6*||H|| at t={t}",
-            NearDegenerateSpectrum,
-            stacklevel=2,
-        )
+    eig = herm_eig(hamiltonian_rot(t, params))
     order = (2, 1, 0)  # ascending -> descending = (+, 0, -) labels
     energies = np.array([eig.values[k] for k in order])
     vectors = np.stack([eig.vectors[:, k] for k in order], axis=1)

@@ -8,8 +8,13 @@ Schrodinger equation before trusting it.
 
 Stepped form: a generic midpoint-sampled piecewise-constant product
 U = prod_k exp(-i dt H(t_k)), t_k = (k - 1/2) dt, with O(dt^2) global error.
-It never uses the frame factorization and serves as the cross-validation
-oracle for the closed form.
+Each factor is exact: every H(t) has the spectrum (+W, 0, -W) with
+W^2 = (omega1^2 + omega2^2)/2, so H^3 = W^2 H and
+
+    exp(-i dt H) = I - i sin(dt W)/W H + (cos(dt W) - 1)/W^2 H^2.
+
+The product never uses the frame factorization and serves as the
+cross-validation oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -21,16 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .model import DriveParams, hamiltonian_rot, hamiltonian_tilde
-from .qmath import herm_eig, unitary_exp
+from .qmath import herm_eig
 
 __all__ = ["PropagatorResult", "propagator_closed", "propagator_stepped"]
-
-# Step counts below this use the exact per-step eigendecomposition; above it,
-# steps are batched through a truncated Taylor exponential whose order is
-# chosen so truncation stays far below the O(dt^2) sampling error.
-_BATCH_MIN_STEPS = 64
-_TAYLOR_TARGET = 1e-17
-_TAYLOR_MAX_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -101,34 +99,19 @@ def propagator_stepped(t: float, params: DriveParams, n_steps: int) -> Propagato
     if t == 0.0:
         return PropagatorResult(t=0.0, u=np.eye(3, dtype=np.complex128), method=f"stepped({n_steps})")
     dt = t / n_steps
-    # spectral radius of H(t) is constant: sqrt((w1^2 + w2^2)/2)
-    theta = abs(dt) * math.sqrt(0.5 * (params.omega1**2 + params.omega2**2))
-    order = _taylor_order(theta)
-    if n_steps < _BATCH_MIN_STEPS or order is None:
-        u = _stepped_exact(t, params, n_steps, dt)
-    else:
-        u = _stepped_batched(params, n_steps, dt, order)
+    omega = math.sqrt(0.5 * (params.omega1**2 + params.omega2**2))
+    c1 = -1j * math.sin(dt * omega) / omega
+    c2 = -2.0 * (math.sin(0.5 * dt * omega) / omega) ** 2  # cos - 1 without cancellation
+    eye = np.eye(3, dtype=np.complex128)
+    u = eye
+    chunk = 1 << 15
+    for start in range(0, n_steps, chunk):
+        stop = min(start + chunk, n_steps)
+        times = (np.arange(start, stop, dtype=np.float64) + 0.5) * dt
+        h = _hamiltonian_stack(times, params)
+        steps = eye + c1 * h + c2 * np.matmul(h, h)
+        u = _ordered_product(steps) @ u
     return PropagatorResult(t=t, u=u, method=f"stepped({n_steps})")
-
-
-def _stepped_exact(t: float, params: DriveParams, n_steps: int, dt: float) -> np.ndarray:
-    u = np.eye(3, dtype=np.complex128)
-    for k in range(1, n_steps + 1):
-        tk = (k - 0.5) * dt
-        u = unitary_exp(hamiltonian_rot(tk, params), dt) @ u
-    return u
-
-
-def _taylor_order(theta: float) -> int | None:
-    """Smallest series order with remainder below target, or None if too large."""
-    if theta >= 1.0:
-        return None
-    term = theta
-    for k in range(1, _TAYLOR_MAX_ORDER + 1):
-        term *= theta / (k + 1)
-        if term < _TAYLOR_TARGET:
-            return k + 1
-    return None
 
 
 def _hamiltonian_stack(times: np.ndarray, params: DriveParams) -> np.ndarray:
@@ -141,22 +124,6 @@ def _hamiltonian_stack(times: np.ndarray, params: DriveParams) -> np.ndarray:
     h[:, 2, 1] = b
     h[:, 1, 2] = np.conj(b)
     return h
-
-
-def _stepped_batched(params: DriveParams, n_steps: int, dt: float, order: int) -> np.ndarray:
-    u = np.eye(3, dtype=np.complex128)
-    eye = np.eye(3, dtype=np.complex128)
-    chunk = 1 << 15
-    for start in range(0, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        times = (np.arange(start, stop, dtype=np.float64) + 0.5) * dt
-        x = (-1j * dt) * _hamiltonian_stack(times, params)
-        # Horner evaluation of sum_{k<=order} x^k / k!
-        e = eye + x / order
-        for k in range(order - 1, 0, -1):
-            e = eye + np.matmul(x, e) / k
-        u = _ordered_product(e) @ u
-    return u
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:

@@ -1,24 +1,21 @@
 """Dense complex linear algebra for small Hermitian/unitary matrices.
 
-Self-contained kernel: the eigensolver is a cyclic complex Jacobi iteration
-implemented in plain Python arithmetic, so results are bit-reproducible across
-platforms and carry no dependency on a LAPACK build.  Matrices are numpy
-complex arrays at the API boundary; dimensions are tiny (d=3 throughout the
-package) so O(d^3) per Jacobi sweep is irrelevant.
+The eigensolver is LAPACK's Hermitian driver (``np.linalg.eigh``) wrapped in
+the package's input checks and a deterministic eigenvector gauge.  Matrices
+are numpy complex arrays at the API boundary; dimensions are tiny (d=3
+throughout the package).
 
 Conventions
 -----------
-* ``herm_eig`` returns eigenvalues ascending.  Exact ties are broken by
-  lexicographic order of the phase-normalized eigenvectors.
+* ``herm_eig`` returns eigenvalues ascending.
 * Every eigenvector column is gauge-fixed: its largest-magnitude component
-  (lowest index on ties) is rotated to be real and positive.
+  (lowest index on ties within 1e-15) is rotated to be real and positive.
 * ``unitary_exp(M, t)`` is exp(-1j*t*M), i.e. the Schrodinger propagator of a
   time-independent Hermitian generator over time t.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +28,9 @@ __all__ = [
     "EigenSystem",
     "herm_eig",
     "unitary_exp",
-    "mat_mul",
-    "adjoint",
-    "trace",
-    "linear_combination",
-    "fro_norm",
-    "vec_norm",
     "hermiticity_defect",
     "unitarity_defect",
     "projector_defect",
-    "is_hermitian",
-    "is_unitary",
 ]
 
 
@@ -61,11 +50,7 @@ class Tolerances:
     """
 
     hermitian: float = 1e-12      # max |M - M^dag| relative to max |M|
-    unitary: float = 1e-10        # max |U^dag U - I| entrywise
     projector: float = 1e-10      # max |P^2 - P| entrywise
-    eig_residual: float = 1e-10   # ||M v - lambda v|| relative to 1 + ||M||
-    jacobi_off: float = 1e-15     # off-diagonal cutoff relative to input scale
-    jacobi_max_sweeps: int = 60
 
 
 TOL = Tolerances()
@@ -99,14 +84,6 @@ def projector_defect(p) -> float:
     return max(float(np.max(np.abs(a @ a - a))), hermiticity_defect(a))
 
 
-def is_hermitian(m, tol: float | None = None) -> bool:
-    return hermiticity_defect(m) <= (TOL.hermitian if tol is None else tol)
-
-
-def is_unitary(u, tol: float | None = None) -> bool:
-    return unitarity_defect(u) <= (TOL.unitary if tol is None else tol)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Spectral decomposition of a Hermitian matrix.
@@ -118,120 +95,41 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def projector(self, k: int) -> np.ndarray:
-        """Rank-1 projector onto eigenvector k."""
-        v = self.vectors[:, k]
-        return np.outer(v, v.conj())
-
     def reconstruct(self) -> np.ndarray:
         """sum_k lambda_k |v_k><v_k|."""
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex) -> tuple[float, complex]:
-    """Return (c, s) zeroing the (p,q) entry of a 2x2 Hermitian block.
-
-    The embedded plane rotation is G = [[c, -conj(s)], [s, c]] with c real,
-    c^2 + |s|^2 = 1 and rotation angle <= pi/4 (small root), which keeps the
-    cyclic sweep monotonically convergent.
-    """
-    mod = abs(apq)
-    f = apq / mod
-    tau = (aqq - app) / (2.0 * mod)
-    if tau >= 0.0:
-        t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    sigma = t * c
-    return c, f.conjugate() * sigma
-
-
 def herm_eig(m) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
+    """Eigendecomposition of a Hermitian matrix.
 
     Raises NonHermitianInput when ``m`` violates the Hermitian tolerance.
-    Output is deterministic: fixed sweep order, ascending eigenvalues,
-    lexicographic tie-break, and a phase gauge making the largest component
-    of each eigenvector real-positive.
+    Output is deterministic: ascending eigenvalues and a phase gauge making
+    the largest component of each eigenvector real-positive.
     """
-    a_in = _as_square(m)
-    if hermiticity_defect(a_in) > TOL.hermitian:
-        raise NonHermitianInput(
-            f"hermiticity defect {hermiticity_defect(a_in):.3e} exceeds {TOL.hermitian:.0e}"
-        )
-    d = a_in.shape[0]
-    sym = 0.5 * (a_in + a_in.conj().T)
-    scale = max(float(np.max(np.abs(sym))), 1.0)
-
-    # Plain-Python working copies: complex scalar arithmetic beats numpy
-    # slicing overhead at d=3 by an order of magnitude.
-    a = [[complex(sym[i, j]) for j in range(d)] for i in range(d)]
-    v = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(d)] for i in range(d)]
-    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
-    cutoff = TOL.jacobi_off * scale
-
-    for _ in range(TOL.jacobi_max_sweeps):
-        off = max(abs(a[p][q]) for p, q in pairs)
-        if off <= cutoff:
-            break
-        for p, q in pairs:
-            apq = a[p][q]
-            if abs(apq) <= cutoff * 1e-2:
-                continue
-            c, s = _jacobi_rotation(a[p][p].real, a[q][q].real, apq)
-            sc = s.conjugate()
-            for r in range(d):  # right-multiply columns p, q by G
-                arp, arq = a[r][p], a[r][q]
-                a[r][p] = c * arp + s * arq
-                a[r][q] = -sc * arp + c * arq
-            for r in range(d):  # left-multiply rows p, q by G^dag
-                apr, aqr = a[p][r], a[q][r]
-                a[p][r] = c * apr + sc * aqr
-                a[q][r] = -s * apr + c * aqr
-            for r in range(d):  # accumulate eigenvectors
-                vrp, vrq = v[r][p], v[r][q]
-                v[r][p] = c * vrp + s * vrq
-                v[r][q] = -sc * vrp + c * vrq
-            a[p][q] = 0.0
-            a[q][p] = 0.0
-
-    values = [a[k][k].real for k in range(d)]
-    columns = [[v[r][k] for r in range(d)] for k in range(d)]
-    columns = [_phase_gauge(col) for col in columns]
-    order = sorted(range(d), key=lambda k: (values[k], _lex_key(columns[k])))
-
-    out_vals = np.array([values[k] for k in order], dtype=np.float64)
-    out_vecs = np.empty((d, d), dtype=np.complex128)
-    for new_k, k in enumerate(order):
-        out_vecs[:, new_k] = columns[k]
-    return EigenSystem(values=out_vals, vectors=out_vecs)
+    a = _as_square(m)
+    defect = hermiticity_defect(a)
+    if defect > TOL.hermitian:
+        raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds {TOL.hermitian:.0e}")
+    values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+    for k in range(vectors.shape[1]):
+        _phase_gauge(vectors[:, k])
+    return EigenSystem(values=values, vectors=vectors)
 
 
-def _phase_gauge(col: list[complex]) -> list[complex]:
-    """Rotate a column's global phase so its largest component is real >= 0."""
+def _phase_gauge(col: np.ndarray) -> None:
+    """Rotate a column's global phase in place so its largest component is real >= 0."""
+    mags = np.abs(col)
     idx = 0
     best = -1.0
-    for r, z in enumerate(col):
-        az = abs(z)
+    for r, az in enumerate(mags.tolist()):
         if az > best + 1e-15:
             best = az
             idx = r
-    z = col[idx]
-    if abs(z) == 0.0:
-        return col
-    ph = z.conjugate() / abs(z)
-    out = [ph * c for c in col]
-    out[idx] = abs(z) + 0.0j  # kill residual imaginary roundoff at the anchor
-    return out
-
-
-def _lex_key(col: list[complex]) -> tuple:
-    return tuple(x for z in col for x in (z.real, z.imag))
+    if best == 0.0:
+        return
+    col *= col[idx].conjugate() / best
+    col[idx] = best  # kill residual imaginary roundoff at the anchor
 
 
 def unitary_exp(m, t: float):
@@ -242,45 +140,3 @@ def unitary_exp(m, t: float):
     eig = herm_eig(m)
     phases = np.exp(-1j * t * eig.values)
     return (eig.vectors * phases) @ eig.vectors.conj().T
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(_as_square(a)))
-
-
-def linear_combination(coeffs, mats) -> np.ndarray:
-    """sum_k coeffs[k] * mats[k]; all matrices must share one shape."""
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    if len(coeffs) != len(mats):
-        raise DimensionMismatch("one coefficient per matrix required")
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise DimensionMismatch(f"mixed shapes {shape} and {m.shape}")
-    out = np.zeros(shape, dtype=np.complex128)
-    for c, m in zip(coeffs, mats):
-        out += c * m
-    return out
-
-
-def fro_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), "fro"))
-
-
-def vec_norm(v) -> float:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
-    return float(np.linalg.norm(v))

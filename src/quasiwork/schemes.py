@@ -46,7 +46,6 @@ __all__ = [
     "ket_from_pure",
     "tpm_table",
     "epm_table",
-    "wtpm_table",
     "wtpm_nonselective",
     "scheme_tables",
     "mhq_reconstruct",
@@ -203,15 +202,6 @@ def tpm_table(rho, t: float, params: DriveParams) -> np.ndarray:
         cond = _conditional_from_u(basis0.ket(i), basis_t, u)
         out[i] = p_i * cond
     return out
-
-
-def wtpm_table(rho, t: float, params: DriveParams) -> np.ndarray:
-    """Weak-TPM joint table from the two prepared pure states (rho pure).
-
-    p_i * p(f|i) + (1 - p_i) * p(f|not-i); each row is a full distribution
-    over f because the first step is non-selective.
-    """
-    return scheme_tables(rho, t, params).p_wtpm
 
 
 def wtpm_nonselective(rho, t: float, params: DriveParams) -> np.ndarray:

@@ -250,6 +250,18 @@ def test_cli_sweep_archive_reproducible(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("threads, code", [("abc", 1), ("0", 1), ("-2", 1), ("", 0)])
+def test_cli_sweep_thread_count(tmp_path, capsys, monkeypatch, threads, code):
+    monkeypatch.setenv("QUASIWORK_THREADS", threads)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("sweep: {n_sets: 4, n_time: 20}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("\n") == 1 and "QUASIWORK_THREADS" in err
+        assert not (tmp_path / "o").exists()
+
+
 def test_cli_shots_and_seed_flags(tmp_path):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"

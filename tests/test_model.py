@@ -6,7 +6,6 @@ from quasiwork.model import (
     DriveParams,
     InitialStateSpec,
     InvalidSpec,
-    NearDegenerateSpectrum,
     UnsupportedIndex,
     energy_basis,
     gell_mann,
@@ -175,14 +174,6 @@ def test_equal_drive_eigenvector_residuals(rng):
             v = 0.5 * np.array([1.0, sign * SQRT2 * np.exp(1j * phi * t), 1.0])
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(h @ v - sign * omega * v) <= 1e-10
-
-
-def test_near_degenerate_warning(monkeypatch):
-    # the drive model itself always has gap = ||H||, so force a tiny gap
-    flat = np.diag([1.0, 1.0 + 1e-8, -1.0]).astype(complex)
-    monkeypatch.setattr(model, "hamiltonian_rot", lambda t, p: flat)
-    with pytest.warns(NearDegenerateSpectrum):
-        model.energy_basis(0.0, model.reference_params())
 
 
 def test_hamiltonian_periodicity(rng):

@@ -78,13 +78,20 @@ def test_schroedinger_residual(rng):
         assert np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1.0) <= 1e-6
 
 
-def test_batched_matches_exact_stepping(rng):
+def test_stepped_matches_explicit_product(rng):
+    # n = 1 puts dt * W well above 1; odd and even n exercise both branches
+    # of the pairwise folding in _ordered_product
     for _ in range(5):
         params = random_drive(rng)
         t = rng.uniform(0.05, 0.3)
-        exact = propagate._stepped_exact(t, params, 128, t / 128)
-        batched = propagate._stepped_batched(params, 128, t / 128, order=12)
-        assert np.max(np.abs(exact - batched)) <= 1e-12
+        for n in (1, 7, 63, 64, 300):
+            dt = t / n
+            expected = np.eye(3, dtype=complex)
+            for k in range(1, n + 1):
+                step = qmath.unitary_exp(hamiltonian_rot((k - 0.5) * dt, params), dt)
+                expected = step @ expected
+            stepped = propagator_stepped(t, params, n).u
+            assert np.max(np.abs(stepped - expected)) <= 1e-12
 
 
 def test_stationary_state_probability_constant(ref_params, rng):

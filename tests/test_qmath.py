@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from quasiwork.qmath import (
-    DimensionMismatch,
-    NonHermitianInput,
-    adjoint,
-    fro_norm,
-    herm_eig,
-    linear_combination,
-    mat_mul,
-    trace,
-    unitary_exp,
-    vec_norm,
-)
+from quasiwork import qmath
+from quasiwork.qmath import DimensionMismatch, NonHermitianInput, herm_eig, unitary_exp
 
 from conftest import random_hermitian
 
@@ -62,6 +52,17 @@ def test_gauge_largest_component_real_positive():
             anchor = col[np.argmax(np.abs(col))]
             assert anchor.real > 0.0
             assert abs(anchor.imag) <= 1e-12
+
+
+def test_gauge_tie_prefers_lowest_index():
+    # magnitudes equal to within 1e-15 anchor on the lowest index, so an
+    # eigensolver's last-bit noise cannot flip which component is made real
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
+        col = np.array([1.0, 1.0 + 5e-16, 0.5]) * phases
+        qmath._phase_gauge(col)
+        assert col[0].imag == 0.0 and col[0].real > 0.0
 
 
 def test_non_hermitian_rejected():
@@ -133,34 +134,6 @@ def test_unitary_exp_group_law():
         assert np.max(np.abs(lhs - unitary_exp(h, s + t))) <= 1e-9
 
 
-def test_mat_ops():
-    assert trace(np.eye(3)) == 3.0
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.max(np.abs(adjoint(mat_mul(a, b)) - mat_mul(adjoint(b), adjoint(a)))) <= 1e-13
-    assert abs(trace(mat_mul(a, b)) - trace(mat_mul(b, a))) <= 1e-12
-    mix = linear_combination([2.0, -1j], [a, b])
-    assert np.allclose(mix, 2.0 * a - 1j * b)
-    assert fro_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0))
-    assert vec_norm(np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0)
-
-
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        mat_mul(np.eye(3), np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        linear_combination([1.0, 2.0], [np.eye(3), np.eye(2)])
-    with pytest.raises(DimensionMismatch):
-        linear_combination([1.0], [np.eye(3), np.eye(3)])
-    with pytest.raises(DimensionMismatch):
-        vec_norm(np.eye(3))
-    with pytest.raises(DimensionMismatch):
         herm_eig(np.zeros((2, 3)))
-
-
-def test_density_matrix_trace():
-    rng = np.random.default_rng(10)
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    assert trace(np.outer(v, v.conj())).real == pytest.approx(1.0, abs=1e-12)
