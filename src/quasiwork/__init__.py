@@ -7,7 +7,7 @@ classical two-point-measurement baseline, and explores random drive
 parameters for extremal behaviour.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analysis import (
     NEGATIVITY_BOUND,
@@ -44,6 +44,7 @@ from .schemes import (
     kdq_direct,
     mhq_reconstruct,
     run_protocol,
+    scheme_series,
     scheme_tables,
     shot_noise_sample,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "reference_state_spec",
     "run_protocol",
     "s_stat",
+    "scheme_series",
     "scheme_tables",
     "shot_noise_sample",
     "spin_ops",

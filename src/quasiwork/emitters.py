@@ -1,9 +1,10 @@
 """Figure-equivalent data emission: tidy CSV series plus JSON metadata.
 
-Every emitted probability or quasiprobability row is a pure function of
-(config, seed); with shots set, per-time-point sampling seeds derive from
-SeedSequence(seed, figure_tag, time_index), so files are byte-stable for a
-fixed configuration and independent of evaluation order.
+Each figure evaluates its whole time grid with one ``scheme_series`` call
+(the frame identity in the ``schemes`` docstring).  Every emitted row is a
+pure function of (config, seed); with shots set, per-time-point sampling
+seeds derive from SeedSequence(seed, figure_tag, time_index), so files are
+byte-stable for a fixed configuration and independent of evaluation order.
 
 Series files share one schema: columns (t_us, series, value, stderr); the
 stderr column is empty for exact (noiseless) runs.  Work curves are emitted
@@ -26,7 +27,7 @@ from .analysis import NEGATIVITY_BOUND, avg_work_mhq, avg_work_tpm, total_negati
 from .config import RunConfig
 from .explore import SweepRecord, SweepSummary, time_window
 from .model import ENERGY_LABELS, _amplitude_gauge, energy_basis, initial_state
-from .schemes import SchemeTables, mhq_reconstruct, scheme_tables
+from .schemes import SchemeTables, mhq_reconstruct, scheme_series
 
 __all__ = [
     "SeriesRow",
@@ -60,12 +61,13 @@ def omega_eff(config: RunConfig) -> float:
     return math.sqrt(0.5 * (p.omega1**2 + p.omega2**2))
 
 
-def _tables_at(config: RunConfig, fig_tag: str, index: int, t: float) -> SchemeTables:
+def _series(config: RunConfig, fig_tag: str, times: np.ndarray) -> list[SchemeTables]:
     rho = initial_state(config.state, energy_basis(0.0, config.params))
-    seed = None
+    seeds = None
     if config.shots is not None:
-        seed = np.random.SeedSequence(config.seed, spawn_key=(_FIG_TAGS[fig_tag], index))
-    return scheme_tables(rho, t, config.params, shots=config.shots, seed=seed)
+        tag = _FIG_TAGS[fig_tag]
+        seeds = [np.random.SeedSequence(config.seed, spawn_key=(tag, k)) for k in range(len(times))]
+    return scheme_series(rho, times, config.params, shots=config.shots, seeds=seeds)
 
 
 def z_stderr_prediction(tables: SchemeTables, shots: int) -> np.ndarray:
@@ -104,8 +106,7 @@ def _conditional_stderr(value: np.ndarray, shots: int) -> np.ndarray:
 def _fig2_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
     rows: list[SeriesRow] = []
     shots = config.shots
-    for k, t in enumerate(times):
-        tab = _tables_at(config, "fig2", k, float(t))
+    for t, tab in zip(times, _series(config, "fig2", times)):
         p = tab.p_init
         with np.errstate(invalid="ignore", divide="ignore"):
             cond = np.where(p[:, None] > 1e-12, tab.p_tpm / p[:, None], 0.0)
@@ -114,14 +115,18 @@ def _fig2_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
                 (tab.p_wtpm - tab.p_tpm) / (1.0 - p)[:, None],
                 0.0,
             )
+        if shots is not None:
+            se_end, se_cond, se_bar = (
+                _conditional_stderr(x, shots).tolist() for x in (tab.p_end, cond, cond_bar)
+            )
         for f, lf in enumerate(ENERGY_LABELS):
-            se = None if shots is None else float(_conditional_stderr(tab.p_end, shots)[f])
+            se = None if shots is None else se_end[f]
             rows.append(SeriesRow(float(t), f"end:f={lf}", float(tab.p_end[f]), se))
         for i, li in enumerate(ENERGY_LABELS):
             for f, lf in enumerate(ENERGY_LABELS):
-                se = None if shots is None else float(_conditional_stderr(cond[i], shots)[f])
+                se = None if shots is None else se_cond[i][f]
                 rows.append(SeriesRow(float(t), f"cond:i={li}:f={lf}", float(cond[i, f]), se))
-                se = None if shots is None else float(_conditional_stderr(cond_bar[i], shots)[f])
+                se = None if shots is None else se_bar[i][f]
                 rows.append(
                     SeriesRow(float(t), f"comp:i={li}:f={lf}", float(cond_bar[i, f]), se)
                 )
@@ -131,8 +136,7 @@ def _fig2_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
 def _fig3_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
     rows: list[SeriesRow] = []
     shots = config.shots
-    for k, t in enumerate(times):
-        tab = _tables_at(config, "fig3", k, float(t))
+    for t, tab in zip(times, _series(config, "fig3", times)):
         z = mhq_reconstruct(tab).z
         se_z = None if shots is None else z_stderr_prediction(tab, shots)
         for i, li in enumerate(ENERGY_LABELS):
@@ -152,8 +156,7 @@ def _fig4_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
     rows: list[SeriesRow] = []
     shots = config.shots
     om = omega_eff(config)
-    for k, t in enumerate(times):
-        tab = _tables_at(config, "fig4", k, float(t))
+    for t, tab in zip(times, _series(config, "fig4", times)):
         table = mhq_reconstruct(tab)
         w = avg_work_mhq(table)
         w_tpm = avg_work_tpm(tab)

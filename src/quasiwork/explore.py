@@ -13,11 +13,10 @@ Per-set substreams (SeedSequence spawn keys) make the sweep deterministic and
 order-independent, so records are identical whether sets run serially or in a
 process pool.
 
-The per-variant evaluation avoids the full measurement pipeline: with the
-ramp absorbed into a frame rotation, q[i][f](t) = Tr[rho Pi_i e^{+itG} Pi_f
-e^{-itG}] where G is the time-independent generator and Pi are the t=0
-eigenprojectors, which vectorizes over the whole time grid.  The route is
-validated against the literal kdq_direct oracle in the test suite.
+The per-variant evaluation avoids the measurement pipeline: with rho_e the
+state in t=0 energy coordinates and m(t) = a e^{-itL} a^dag the amplitude
+kernel of the ``schemes`` docstring, q[t, i, f] = conj(m[f, i]) (m rho_e)[f, i]
+over the whole grid, validated against the kdq_direct oracle in the tests.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DriveParams, hamiltonian_rot, hamiltonian_tilde
+from .propagate import frame_amplitudes
 from .qmath import herm_eig
 
 __all__ = [
@@ -193,8 +193,7 @@ def variant_extrema(params: DriveParams, rho: np.ndarray, n_time: int,
     rho_e = v.conj().T @ np.asarray(rho, dtype=np.complex128) @ v
 
     times = t_end * np.arange(1, n_time + 1) / n_time
-    phases = np.exp(-1j * np.outer(times, eig_g.values))  # (n, 3)
-    m = np.einsum("ik,tk,jk->tij", a, phases, a.conj())
+    m = frame_amplitudes(a, eig_g.values, times, a.conj().T)
     r = np.matmul(m, rho_e)
     q = np.transpose(m.conj() * r, (0, 2, 1))  # q[t, i, f]
 

@@ -28,7 +28,7 @@ import numpy as np
 from .model import DriveParams, hamiltonian_rot, hamiltonian_tilde
 from .qmath import herm_eig
 
-__all__ = ["PropagatorResult", "propagator_closed", "propagator_stepped"]
+__all__ = ["PropagatorResult", "propagator_closed", "frame_amplitudes", "propagator_stepped"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,16 @@ def propagator_closed(t: float, params: DriveParams) -> PropagatorResult:
     """Exact propagator U(t) = e^{-itD} e^{-it H_tilde}."""
     _validate_closed_form()
     return PropagatorResult(t=t, u=_closed_u(t, params), method="closed")
+
+
+def frame_amplitudes(a: np.ndarray, values: np.ndarray, times, b: np.ndarray) -> np.ndarray:
+    """a e^{-it diag(values)} b at every t of ``times``, shape (n, a rows, b columns).
+
+    The amplitude kernel of the figure series and the sweep; the identity
+    behind it is in the ``schemes`` module docstring.
+    """
+    phases = np.exp(-1j * np.outer(times, values))
+    return (a * phases[:, None, :]) @ b
 
 
 def propagator_stepped(t: float, params: DriveParams, n_steps: int) -> PropagatorResult:

@@ -12,6 +12,13 @@ share that primitive:
           outcome of a binary non-selective measurement) and form
           p_i * p(f|i) + (1 - p_i) * p(f|not-i).
 
+Every measured row is a Born distribution |<E_f(t)|U(t)|k>|^2 of a prepared
+ket k.  By the frame identity H(t) = e^{-itD} H(0) e^{itD} the energies are
+constant, |E_f(t)> = e^{-itD}|E_f(0)> up to a phase and U(t) = e^{-itD}
+e^{-itH_tilde}, so with (L, W) the eigensystem of H_tilde and V0 the t=0
+eigenvectors a whole grid is |(a e^{-itL}) b|^2, a = V0^dag W, b = W^dag K
+for the stacked kets K: ``propagate.frame_amplitudes``, shared with the sweep.
+
 The real part of the Kirkwood-Dirac quasiprobability follows from the three
 tables without any ancilla:
 
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DriveParams, EnergyBasis, InitialStateSpec, energy_basis, state_vector
-from .propagate import propagator_closed
+from .propagate import _tilde_eig, _validate_closed_form, frame_amplitudes, propagator_closed
 from .qmath import TOL, projector_defect
 
 __all__ = [
@@ -47,6 +54,7 @@ __all__ = [
     "tpm_table",
     "epm_table",
     "wtpm_nonselective",
+    "scheme_series",
     "scheme_tables",
     "mhq_reconstruct",
     "kdq_direct",
@@ -221,61 +229,55 @@ def wtpm_nonselective(rho, t: float, params: DriveParams) -> np.ndarray:
     return out
 
 
-def scheme_tables(
-    rho,
-    t: float,
-    params: DriveParams,
-    shots: int | None = None,
-    seed=None,
-) -> SchemeTables:
-    """All three scheme tables for a pure state at one time point.
+def scheme_series(rho, times, params: DriveParams, shots: int | None = None,
+                  seeds=None) -> list[SchemeTables]:
+    """All three scheme tables for a pure state at every point of ``times``.
 
-    Noiseless (shots=None) rows are exact Born probabilities.  With shots,
-    every measured conditional distribution -- p(f|i), p(f|not-i) and the
-    end-point row -- is replaced by multinomial frequencies from ``shots``
-    repetitions; the composition weights p_i stay exact (they are state
-    calibration constants, not per-run detector reads).
+    Noiseless (shots=None) rows are exact Born probabilities.  With shots, the
+    rows p(f|i), p(f|not-i) and p_end, in that order, are replaced by
+    multinomial frequencies drawn point by point from ``default_rng(seeds[k])``;
+    the composition weights p_i stay exact (state calibration constants).
     """
     r = np.asarray(rho, dtype=np.complex128)
     psi = ket_from_pure(r)
-    u = propagator_closed(t, params).u
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     basis0 = energy_basis(0.0, params)
-    basis_t = energy_basis(t, params)
-    rng = np.random.default_rng(seed) if shots is not None else None
+    _validate_closed_form()
+    eig = _tilde_eig(params)
 
     p_init = np.array([float(np.trace(r @ basis0.projector(i)).real) for i in range(3)])
     # below the complement-degeneracy threshold the complement branch carries
     # weight <= 1e-9 and is dropped rather than prepared
     has_complement = 1.0 - p_init > 1e-9
-    cond = np.empty((3, 3))
-    cond_bar = np.zeros((3, 3))
-    for i in range(3):
-        cond[i] = _conditional_from_u(basis0.ket(i), basis_t, u)
-        if has_complement[i]:
-            cond_bar[i] = _conditional_from_u(_complement_ket(psi, i, basis0), basis_t, u)
-    p_end = _conditional_from_u(psi, basis_t, u)
+    comp = [_complement_ket(psi, i, basis0) for i in range(3) if has_complement[i]]
+    kets = np.column_stack([basis0.vectors, *comp, psi])
+    a = basis0.vectors.conj().T @ eig.vectors
+    p = np.abs(frame_amplitudes(a, eig.values, times, eig.vectors.conj().T @ kets)) ** 2
+    p = np.swapaxes(p / p.sum(axis=1, keepdims=True), 1, 2)  # [t, ket, f]
+    cond, p_end = p[:, :3], p[:, -1]
+    cond_bar = np.zeros_like(cond)
+    cond_bar[:, has_complement] = p[:, 3:-1]
 
     if shots is not None:
-        cond = np.stack([shot_noise_sample(cond[i], shots, rng) for i in range(3)])
-        cond_bar = np.stack(
-            [
-                shot_noise_sample(cond_bar[i], shots, rng) if has_complement[i] else cond_bar[i]
-                for i in range(3)
-            ]
-        )
-        p_end = shot_noise_sample(p_end, shots, rng)
+        for k in range(times.size):
+            rng = np.random.default_rng(None if seeds is None else seeds[k])
+            for i in range(3):
+                cond[k, i] = shot_noise_sample(cond[k, i], shots, rng)
+            for i in np.flatnonzero(has_complement):
+                cond_bar[k, i] = shot_noise_sample(cond_bar[k, i], shots, rng)
+            p_end[k] = shot_noise_sample(p_end[k], shots, rng)
 
     p_tpm = p_init[:, None] * cond
-    p_wtpm = p_init[:, None] * cond + (1.0 - p_init)[:, None] * cond_bar
-    return SchemeTables(
-        t=t,
-        p_tpm=p_tpm,
-        p_wtpm=p_wtpm,
-        p_end=p_end,
-        p_init=p_init,
-        e_init=basis0.energies.copy(),
-        e_final=basis_t.energies.copy(),
-    )
+    p_wtpm = p_tpm + (1.0 - p_init)[:, None] * cond_bar
+    e = basis0.energies
+    return [SchemeTables(float(t), p_tpm[k], p_wtpm[k], p_end[k], p_init.copy(), e.copy(), e.copy())
+            for k, t in enumerate(times)]
+
+
+def scheme_tables(rho, t: float, params: DriveParams, shots: int | None = None,
+                  seed=None) -> SchemeTables:
+    """``scheme_series`` at the single time point ``t``, sampled from ``seed``."""
+    return scheme_series(rho, [t], params, shots=shots, seeds=[seed])[0]
 
 
 def mhq_reconstruct(tables: SchemeTables) -> QuasiTable:

@@ -16,6 +16,7 @@ from quasiwork.schemes import (
     ket_from_pure,
     mhq_reconstruct,
     run_protocol,
+    scheme_series,
     scheme_tables,
     shot_noise_sample,
     tpm_table,
@@ -151,6 +152,62 @@ def test_wtpm_matches_nonselective_oracle(rng):
         t = rng.uniform(0, 0.5)
         tab = scheme_tables(rho, t, params)
         assert np.max(np.abs(tab.p_wtpm - wtpm_nonselective(rho, t, params))) <= 1e-10
+
+
+def _check_series_against_oracles(rho, params, times, tol=1e-12):
+    for t, tab in zip(times, scheme_series(rho, times, params)):
+        t = float(t)
+        assert tab.t == t
+        q = kdq_direct(rho, t, params)
+        assert np.max(np.abs(mhq_reconstruct(tab).z - q.q.real)) <= tol
+        assert np.max(np.abs(tab.p_end - epm_table(rho, t, params))) <= tol
+        assert np.max(np.abs(tab.p_tpm - tpm_table(rho, t, params))) <= tol
+        assert np.max(np.abs(tab.p_wtpm - wtpm_nonselective(rho, t, params))) <= tol
+        assert np.max(np.abs(tab.e_final - q.e_final)) <= tol
+        assert np.array_equal(tab.e_init, q.e_init)
+
+
+def test_scheme_series_matches_oracles_on_a_grid(rng):
+    times = np.linspace(0.0, 0.5, 25)  # t = 0 included
+    for _ in range(8):
+        _check_series_against_oracles(random_pure_density(rng), random_drive(rng), times)
+
+
+def test_scheme_series_drops_a_vanishing_complement(rng):
+    # p_0 = 1 - 1e-13 lies within 1e-9 of one: the complement of outcome 0
+    # is dropped, not prepared, and the dropped weight is below the tolerance
+    params = random_drive(rng)
+    basis0 = energy_basis(0.0, params)
+    eps = 1e-13
+    psi = np.sqrt(1.0 - eps) * basis0.ket(0) + np.sqrt(eps) * np.exp(0.3j) * basis0.ket(1)
+    rho = np.outer(psi, psi.conj())
+    times = np.linspace(0.0, 0.5, 25)
+    for tab in scheme_series(rho, times, params):
+        assert 1.0 - tab.p_init[0] <= 1e-9
+        assert np.array_equal(tab.p_wtpm[0], tab.p_tpm[0])
+    _check_series_against_oracles(rho, params, times)
+    with pytest.raises(DegenerateComplement):
+        complement_state(rho, 0, basis0)
+
+
+def test_scheme_series_shots_match_per_point_calls(ref_rho, ref_params, ref_period):
+    times = np.linspace(0.0, 2 * ref_period, 40)
+    seeds = [np.random.SeedSequence(7, spawn_key=(3, k)) for k in range(times.size)]
+    series = scheme_series(ref_rho, times, ref_params, shots=1000, seeds=seeds)
+    for k, tab in enumerate(series):
+        one = scheme_tables(ref_rho, float(times[k]), ref_params, shots=1000, seed=seeds[k])
+        for name in ("p_tpm", "p_wtpm", "p_end", "p_init", "e_init", "e_final"):
+            assert np.array_equal(getattr(tab, name), getattr(one, name))
+
+
+def test_scheme_series_sub_grid_gives_the_same_rows(ref_rho, ref_params, ref_period):
+    times = np.linspace(0.0, 2 * ref_period, 101)
+    full = scheme_series(ref_rho, times, ref_params)
+    part = scheme_series(ref_rho, times[17:60:3], ref_params)
+    for tab, ref in zip(part, full[17:60:3]):
+        assert tab.t == ref.t
+        for name in ("p_tpm", "p_wtpm", "p_end"):
+            assert np.array_equal(getattr(tab, name), getattr(ref, name))
 
 
 def test_tpm_epm_accept_mixed_states(rng):
