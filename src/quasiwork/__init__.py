@@ -7,7 +7,7 @@ classical two-point-measurement baseline, and explores random drive
 parameters for extremal behaviour.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .analysis import (
     NEGATIVITY_BOUND,
@@ -17,7 +17,6 @@ from .analysis import (
     negativity,
     s_stat,
     total_negativity,
-    work_stats,
 )
 from .explore import SweepConfig, random_params, random_pure_state, sweep, time_window
 from .model import (
@@ -38,8 +37,6 @@ from .qmath import EigenSystem, herm_eig, unitary_exp
 from .schemes import (
     QuasiTable,
     SchemeTables,
-    conditional_prob,
-    complement_state,
     gate_to_zero,
     kdq_direct,
     mhq_reconstruct,
@@ -61,8 +58,6 @@ __all__ = [
     "avg_work_mhq",
     "avg_work_tpm",
     "classical_decomposition",
-    "conditional_prob",
-    "complement_state",
     "energy_basis",
     "gate_to_zero",
     "gell_mann",
@@ -90,5 +85,4 @@ __all__ = [
     "time_window",
     "total_negativity",
     "unitary_exp",
-    "work_stats",
 ]

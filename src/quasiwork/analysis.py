@@ -19,7 +19,6 @@ import numpy as np
 from .schemes import QuasiTable, SchemeTables
 
 __all__ = [
-    "WorkStats",
     "ClassicalDecomposition",
     "DegenerateTable",
     "negativity",
@@ -28,7 +27,6 @@ __all__ = [
     "avg_work_mhq",
     "avg_work_tpm",
     "s_stat",
-    "work_stats",
     "NEGATIVITY_BOUND",
 ]
 
@@ -38,22 +36,6 @@ NEGATIVITY_BOUND = np.sqrt(3.0) - 1.0
 
 class DegenerateTable(ValueError):
     """All-zero table: no classical decomposition exists."""
-
-
-@dataclass(frozen=True)
-class WorkStats:
-    """Per-time-point summary used by the figure emitters.
-
-    Work values in rad/us (hbar = 1); ``negativity`` and ``total_negativity``
-    are computed from the real table, so they satisfy aleph = ||z|| - 1.
-    """
-
-    t: float
-    w_mhq: float
-    w_tpm: float
-    negativity: float
-    total_negativity: float
-    s_stat: float
 
 
 @dataclass(frozen=True)
@@ -128,19 +110,3 @@ def s_stat(z) -> float:
     z = np.asarray(z)
     return float(z[0].sum() + z[1].sum())
 
-
-def work_stats(tables: SchemeTables, table: QuasiTable) -> WorkStats:
-    """Bundle the per-time-point statistics from one consistent pair.
-
-    Negativity here is always the real-table (measured) variant, so the
-    aleph = ||z|| - 1 identity holds within the bundle by construction.
-    """
-    z_norm = total_negativity(table.z)
-    return WorkStats(
-        t=tables.t,
-        w_mhq=avg_work_mhq(table),
-        w_tpm=avg_work_tpm(tables),
-        negativity=z_norm - 1.0,
-        total_negativity=z_norm,
-        s_stat=s_stat(table.z),
-    )

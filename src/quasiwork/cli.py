@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the deliverables: ``reproduce-fig2``,
 ``reproduce-fig3``, ``reproduce-fig4`` emit figure-equivalent series files,
 ``sweep`` runs the random-parameter study, ``selftest`` runs the reduced
 invariant battery.  Exit codes: 0 success, 1 configuration error (including a
-bad QUASIWORK_THREADS), 2 selftest failure.
+bad QUASIWORK_THREADS) or a sweep set that cannot be evaluated, 2 selftest
+failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .emitters import emit_figure, emit_sweep
-from .explore import InvalidThreadCount
+from .explore import InvalidThreadCount, SweepSetFailed
 from .explore import sweep as run_sweep
 from .selftest import run_selftest
 
@@ -79,9 +80,12 @@ def main(argv: list[str] | None = None) -> int:
         except InvalidThreadCount as exc:
             print(f"environment error: {exc}", file=sys.stderr)
             return 1
+        except SweepSetFailed as exc:
+            print(f"sweep error: {exc}", file=sys.stderr)
+            return 1
         paths = emit_sweep(config, records, summary)
         print(
-            f"sweep: {summary.n_sets} sets ({summary.n_skipped} skipped), "
+            f"sweep: {summary.n_sets} sets, "
             f"max aleph {summary.global_max_aleph:.4f} ({summary.global_max_aleph_kind})"
         )
     else:

@@ -63,6 +63,10 @@ _DEFAULT_DRIVE = {
 }
 
 
+# libyaml's parser when PyYAML was built with it (about 10x faster), else pure Python
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ConfigError(ValueError):
     """Configuration file is malformed; message carries the offending field."""
 
@@ -98,7 +102,7 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
-            data = yaml.safe_load(text) or {}
+            data = yaml.load(text, Loader=_YAML_LOADER) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
         if not isinstance(data, dict):

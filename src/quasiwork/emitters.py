@@ -7,9 +7,9 @@ seeds derive from SeedSequence(seed, figure_tag, time_index), so files are
 byte-stable for a fixed configuration and independent of evaluation order.
 
 Series files share one schema: columns (t_us, series, value, stderr); the
-stderr column is empty for exact (noiseless) runs.  Work curves are emitted
-both in rad/us and normalized by the instantaneous ladder spacing
-omega_eff = sqrt((omega1^2 + omega2^2)/2).
+stderr column is empty for exact (noiseless) runs.  Work values, in fig4
+and in the sweep archive, are emitted both in rad/us and normalized by the
+ladder spacing omega_eff = sqrt((omega1^2 + omega2^2)/2).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import __version__
 from .analysis import NEGATIVITY_BOUND, avg_work_mhq, avg_work_tpm, total_negativity
 from .config import RunConfig
 from .explore import SweepRecord, SweepSummary, time_window
-from .model import ENERGY_LABELS, _amplitude_gauge, energy_basis, initial_state
+from .model import ENERGY_LABELS, DriveParams, _amplitude_gauge, energy_basis, initial_state
 from .schemes import SchemeTables, mhq_reconstruct, scheme_series
 
 __all__ = [
@@ -56,9 +56,9 @@ def figure_times(config: RunConfig) -> np.ndarray:
     return np.linspace(config.grid_start, end, config.grid_points)
 
 
-def omega_eff(config: RunConfig) -> float:
-    p = config.params
-    return math.sqrt(0.5 * (p.omega1**2 + p.omega2**2))
+def omega_eff(params: DriveParams) -> float:
+    """Ladder spacing sqrt((omega1^2 + omega2^2)/2) that normalizes every work value."""
+    return math.sqrt(0.5 * (params.omega1**2 + params.omega2**2))
 
 
 def _series(config: RunConfig, fig_tag: str, times: np.ndarray) -> list[SchemeTables]:
@@ -80,15 +80,8 @@ def z_stderr_prediction(tables: SchemeTables, shots: int) -> np.ndarray:
     Var x = x(1-x)/shots.
     """
     p = tables.p_init
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(p[:, None] > 1e-12, tables.p_tpm / p[:, None], 0.0)
-        cbar = np.where(
-            (1.0 - p)[:, None] > 1e-12,
-            (tables.p_wtpm - tables.p_tpm) / (1.0 - p)[:, None],
-            0.0,
-        )
-    c = np.clip(c, 0.0, 1.0)
-    cbar = np.clip(cbar, 0.0, 1.0)
+    c = np.clip(tables.cond, 0.0, 1.0)
+    cbar = np.clip(tables.cond_bar, 0.0, 1.0)
     e = np.clip(tables.p_end, 0.0, 1.0)
     var = (
         p[:, None] ** 2 * c * (1.0 - c)
@@ -107,17 +100,9 @@ def _fig2_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
     rows: list[SeriesRow] = []
     shots = config.shots
     for t, tab in zip(times, _series(config, "fig2", times)):
-        p = tab.p_init
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(p[:, None] > 1e-12, tab.p_tpm / p[:, None], 0.0)
-            cond_bar = np.where(
-                (1.0 - p)[:, None] > 1e-12,
-                (tab.p_wtpm - tab.p_tpm) / (1.0 - p)[:, None],
-                0.0,
-            )
         if shots is not None:
             se_end, se_cond, se_bar = (
-                _conditional_stderr(x, shots).tolist() for x in (tab.p_end, cond, cond_bar)
+                _conditional_stderr(x, shots).tolist() for x in (tab.p_end, tab.cond, tab.cond_bar)
             )
         for f, lf in enumerate(ENERGY_LABELS):
             se = None if shots is None else se_end[f]
@@ -125,11 +110,9 @@ def _fig2_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
         for i, li in enumerate(ENERGY_LABELS):
             for f, lf in enumerate(ENERGY_LABELS):
                 se = None if shots is None else se_cond[i][f]
-                rows.append(SeriesRow(float(t), f"cond:i={li}:f={lf}", float(cond[i, f]), se))
+                rows.append(SeriesRow(float(t), f"cond:i={li}:f={lf}", float(tab.cond[i, f]), se))
                 se = None if shots is None else se_bar[i][f]
-                rows.append(
-                    SeriesRow(float(t), f"comp:i={li}:f={lf}", float(cond_bar[i, f]), se)
-                )
+                rows.append(SeriesRow(float(t), f"comp:i={li}:f={lf}", float(tab.cond_bar[i, f]), se))
     return rows
 
 
@@ -155,7 +138,7 @@ def _fig3_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
 def _fig4_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
     rows: list[SeriesRow] = []
     shots = config.shots
-    om = omega_eff(config)
+    om = omega_eff(config.params)
     for t, tab in zip(times, _series(config, "fig4", times)):
         table = mhq_reconstruct(tab)
         w = avg_work_mhq(table)
@@ -167,10 +150,7 @@ def _fig4_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
             se_z = z_stderr_prediction(tab, shots)
             dw = tab.e_final[None, :] - tab.e_init[:, None]
             se_w = float(np.sqrt(((se_z * dw) ** 2).sum()))
-            se_c = _conditional_stderr(
-                np.where(tab.p_init[:, None] > 1e-12, tab.p_tpm / tab.p_init[:, None], 0.0),
-                shots,
-            )
+            se_c = _conditional_stderr(tab.cond, shots)
             se_t = float(np.sqrt(((tab.p_init[:, None] * se_c * dw) ** 2).sum()))
         rows.append(SeriesRow(float(t), "w_mhq", w, se_w))
         rows.append(SeriesRow(float(t), "w_tpm", w_tpm, se_t))
@@ -217,7 +197,7 @@ def _metadata(config: RunConfig, target: str, times: np.ndarray, extra: dict) ->
         "state_weights_sum": config.state.raw_weight_sum,
         "state_weights_normalized": config.state.normalized_weights.tolist(),
         "state_phases_rad": list(config.state.phases),
-        "omega_eff_rad_per_us": omega_eff(config),
+        "omega_eff_rad_per_us": omega_eff(p),
         "window_period_us": time_window(p),
         "grid": {"start": float(times[0]), "end": float(times[-1]), "points": len(times)},
         "shots": config.shots,
@@ -272,7 +252,7 @@ def emit_sweep(config: RunConfig, records: list[SweepRecord], summary: SweepSumm
     for rec in records:
         a, b, phi_a, phi_b = rec.state_draw
         for v in rec.variants:
-            om_norm = math.hypot(v.params.omega1, v.params.omega2)
+            om = omega_eff(v.params)
             rows.append(
                 {
                     "set": rec.index,
@@ -287,10 +267,10 @@ def emit_sweep(config: RunConfig, records: list[SweepRecord], summary: SweepSumm
                     "state_phi_a": phi_a,
                     "state_phi_b": phi_b,
                     "window_end_us": v.window_end,
-                    "omega_norm": om_norm,
+                    "omega_eff": om,
                     "min_req": v.min_req,
                     "min_w_rad_per_us": v.min_w,
-                    "min_w_over_omega": v.min_w / om_norm,
+                    "min_w_over_omega": v.min_w / om,
                     "max_aleph": v.max_aleph,
                 }
             )

@@ -43,6 +43,7 @@ __all__ = [
     "variant_extrema",
     "sweep",
     "InvalidThreadCount",
+    "SweepSetFailed",
 ]
 
 MHZ_TO_ANGULAR = 2.0 * math.pi  # ordinary MHz -> rad/us
@@ -52,6 +53,10 @@ VARIANT_KINDS = ("original", "twin_ramp1", "twin_ramp2")
 
 class InvalidThreadCount(ValueError):
     """QUASIWORK_THREADS is set to something other than a positive integer."""
+
+
+class SweepSetFailed(ValueError):
+    """A variant of one sweep set could not be evaluated; names the set and variant."""
 
 
 @dataclass(frozen=True)
@@ -211,34 +216,24 @@ def _twin_variants(params: DriveParams) -> tuple[DriveParams, DriveParams]:
     )
 
 
-def _run_one_set(index: int, config: SweepConfig) -> SweepRecord | None:
+def _run_one_set(index: int, config: SweepConfig) -> SweepRecord:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
     params = random_params(rng, config)
     ket, draw = _draw_state(rng)
     rho = np.outer(ket, ket.conj())
     variants = []
-    twin1, twin2 = _twin_variants(params)
-    try:
-        for kind, p in zip(VARIANT_KINDS, (params, twin1, twin2)):
-            window_end, min_req, min_w, max_aleph = variant_extrema(p, rho, config.n_time)
-            variants.append(
-                VariantResult(
-                    kind=kind,
-                    params=p,
-                    window_end=window_end,
-                    min_req=min_req,
-                    min_w=min_w,
-                    max_aleph=max_aleph,
-                )
-            )
-    except (ValueError, FloatingPointError):
-        return None  # degenerate draw; counted by the caller
+    for kind, p in zip(VARIANT_KINDS, (params, *_twin_variants(params))):
+        try:
+            extrema = variant_extrema(p, rho, config.n_time)
+        except (ValueError, ArithmeticError) as exc:
+            raise SweepSetFailed(f"set {index}, variant {kind}: {type(exc).__name__}: {exc}") from exc
+        variants.append(VariantResult(kind, p, *extrema))
     return SweepRecord(
         index=index, state_ket=tuple(ket.tolist()), state_draw=draw, variants=tuple(variants)
     )
 
 
-def _run_chunk(args: tuple[SweepConfig, int, int]) -> list[SweepRecord | None]:
+def _run_chunk(args: tuple[SweepConfig, int, int]) -> list[SweepRecord]:
     config, start, stop = args
     return [_run_one_set(i, config) for i in range(start, stop)]
 
@@ -250,26 +245,23 @@ def sweep(config: SweepConfig) -> tuple[list[SweepRecord], SweepSummary]:
     execution; results are identical to the serial run because every set owns
     an index-keyed substream and records are reassembled in index order.
     Unset or empty means one worker; any other value that is not a positive
-    integer raises InvalidThreadCount.
+    integer raises InvalidThreadCount.  A set that cannot be evaluated raises
+    SweepSetFailed; no set is skipped, so ``n_skipped`` is always 0.
     """
     workers = _worker_count()
-    results: list[SweepRecord | None]
     if workers > 1 and config.n_sets >= 4 * workers:
         chunk = (config.n_sets + workers - 1) // workers
         spans = [
             (config, start, min(start + chunk, config.n_sets))
             for start in range(0, config.n_sets, chunk)
         ]
-        results = []
+        records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, spans):
-                results.extend(part)
+                records.extend(part)
     else:
-        results = [_run_one_set(i, config) for i in range(config.n_sets)]
-
-    records = [r for r in results if r is not None]
-    summary = _summarize(records, config, n_skipped=len(results) - len(records))
-    return records, summary
+        records = [_run_one_set(i, config) for i in range(config.n_sets)]
+    return records, _summarize(records, config)
 
 
 def _worker_count() -> int:
@@ -285,7 +277,7 @@ def _worker_count() -> int:
     return workers
 
 
-def _summarize(records: list[SweepRecord], config: SweepConfig, n_skipped: int) -> SweepSummary:
+def _summarize(records: list[SweepRecord], config: SweepConfig) -> SweepSummary:
     bound = math.sqrt(3.0) - 1.0 + 1e-9
     all_variants = [v for r in records for v in r.variants]
     originals = [r.original for r in records]
@@ -300,7 +292,7 @@ def _summarize(records: list[SweepRecord], config: SweepConfig, n_skipped: int) 
     best = max(all_variants, key=lambda v: v.max_aleph)
     return SweepSummary(
         n_sets=config.n_sets,
-        n_skipped=n_skipped,
+        n_skipped=0,
         seed=config.seed,
         n_time=config.n_time,
         angular_convention=config.angular_convention,

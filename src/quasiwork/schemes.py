@@ -12,6 +12,10 @@ share that primitive:
           outcome of a binary non-selective measurement) and form
           p_i * p(f|i) + (1 - p_i) * p(f|not-i).
 
+``SchemeTables`` holds what such an experiment measures: the rows p(f|i),
+p(f|not-i) and p_end, with the exact weights p_i.  Its ``p_tpm`` and
+``p_wtpm`` properties are the only place the rows are composed into tables.
+
 Every measured row is a Born distribution |<E_f(t)|U(t)|k>|^2 of a prepared
 ket k.  By the frame identity H(t) = e^{-itD} H(0) e^{itD} the energies are
 constant, |E_f(t)> = e^{-itD}|E_f(0)> up to a phase and U(t) = e^{-itD}
@@ -44,12 +48,9 @@ from .qmath import TOL, projector_defect
 __all__ = [
     "SchemeTables",
     "QuasiTable",
-    "UnnormalizedState",
     "DegenerateComplement",
     "NotRankOne",
     "InvalidDistribution",
-    "conditional_prob",
-    "complement_state",
     "ket_from_pure",
     "tpm_table",
     "epm_table",
@@ -68,11 +69,11 @@ __all__ = [
 # reconstruction-vs-oracle equivalence test actually bites.
 RECONSTRUCTION_HALF_WEIGHT = 0.5
 
+# A complement branch whose weight 1 - p_i is at most this is dropped, not
+# prepared: the normalized complement is undefined as p_i -> 1.
+COMPLEMENT_CUTOFF = 1e-9
+
 _ZERO_KET = 1  # matrix index of the bare |0> state
-
-
-class UnnormalizedState(ValueError):
-    """State vector does not have unit norm."""
 
 
 class DegenerateComplement(ValueError):
@@ -89,20 +90,33 @@ class InvalidDistribution(ValueError):
 
 @dataclass(frozen=True)
 class SchemeTables:
-    """Joint distributions of the three schemes at a common time point.
+    """The measured rows of the three schemes at a common time point.
 
-    p_tpm[i][f], p_wtpm[i][f], p_end[f], and the initial-energy populations
-    p_init[i].  Energy ladders at t=0 and t ride along so downstream
-    reconstructions can attach work values without re-deriving the model.
+    cond[i][f] = p(f|i) after preparing |E_i(0)>, cond_bar[i][f] = p(f|not-i)
+    after preparing the normalized complement (a zero row where that branch
+    is dropped), the end-point row p_end[f], and the exact initial-energy
+    populations p_init[i].  Energy ladders at t=0 and t ride along so
+    downstream reconstructions can attach work values without re-deriving
+    the model.
     """
 
     t: float
-    p_tpm: np.ndarray
-    p_wtpm: np.ndarray
+    cond: np.ndarray
+    cond_bar: np.ndarray
     p_end: np.ndarray
     p_init: np.ndarray
     e_init: np.ndarray
     e_final: np.ndarray
+
+    @property
+    def p_tpm(self) -> np.ndarray:
+        """TPM joint table p_i * p(f|i)."""
+        return self.p_init[:, None] * self.cond
+
+    @property
+    def p_wtpm(self) -> np.ndarray:
+        """wTPM table p_i * p(f|i) + (1 - p_i) * p(f|not-i)."""
+        return self.p_tpm + (1.0 - self.p_init)[:, None] * self.cond_bar
 
 
 @dataclass(frozen=True)
@@ -127,16 +141,6 @@ class QuasiTable:
         return np.abs(self.z) if self.q is None else np.abs(self.q)
 
 
-def _check_unit_ket(psi) -> np.ndarray:
-    v = np.asarray(psi, dtype=np.complex128)
-    if v.shape != (3,):
-        raise UnnormalizedState(f"expected a 3-vector, got shape {v.shape}")
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-9:
-        raise UnnormalizedState(f"state norm {n!r} is not 1")
-    return v
-
-
 def ket_from_pure(rho) -> np.ndarray:
     """Extract the state vector of a pure density matrix (phase-gauged).
 
@@ -150,40 +154,17 @@ def ket_from_pure(rho) -> np.ndarray:
     return r[:, k] / np.sqrt(r[k, k].real)
 
 
-def conditional_prob(psi, t: float, params: DriveParams) -> np.ndarray:
-    """p(f|psi) = Tr[U |psi><psi| U^dag Xi_f(t)] over final labels (+, 0, -)."""
-    v = _check_unit_ket(psi)
-    u = propagator_closed(t, params).u
-    basis_t = energy_basis(t, params)
-    return _conditional_from_u(v, basis_t, u)
-
-
 def _conditional_from_u(psi: np.ndarray, basis_t: EnergyBasis, u: np.ndarray) -> np.ndarray:
     amps = basis_t.vectors.conj().T @ (u @ psi)
     p = np.abs(amps) ** 2
     return p / p.sum()  # unit-norm input: sum is 1 up to roundoff
 
 
-def complement_state(rho, i: int, basis0: EnergyBasis) -> np.ndarray:
-    """Normalized projection of a pure state onto NOT-outcome-i.
-
-    (I - Pi_i) rho (I - Pi_i) / (1 - p_i); pure in, pure out.  Raises
-    DegenerateComplement when p_i is numerically one.
-    """
-    r = np.asarray(rho, dtype=np.complex128)
-    pi = basis0.projector(i)
-    p_i = float(np.trace(r @ pi).real)
-    if p_i > 1.0 - 1e-9:
-        raise DegenerateComplement(f"p_{i} = {p_i!r}; complement weight vanishes")
-    proj = np.eye(3) - pi
-    out = proj @ r @ proj
-    return out / (1.0 - p_i)
-
-
 def _complement_ket(psi: np.ndarray, i: int, basis0: EnergyBasis) -> np.ndarray:
+    """Normalized (I - Pi_i)|psi>; DegenerateComplement when its weight is cut off."""
     v = psi - basis0.projector(i) @ psi
     n2 = float(np.vdot(v, v).real)
-    if n2 < 1e-9:  # matches the p_i > 1 - 1e-9 degeneracy contract
+    if n2 < COMPLEMENT_CUTOFF:
         raise DegenerateComplement(f"state lies entirely in outcome {i}")
     return v / np.sqrt(n2)
 
@@ -231,7 +212,7 @@ def wtpm_nonselective(rho, t: float, params: DriveParams) -> np.ndarray:
 
 def scheme_series(rho, times, params: DriveParams, shots: int | None = None,
                   seeds=None) -> list[SchemeTables]:
-    """All three scheme tables for a pure state at every point of ``times``.
+    """The measured rows of all three schemes for a pure state at every point of ``times``.
 
     Noiseless (shots=None) rows are exact Born probabilities.  With shots, the
     rows p(f|i), p(f|not-i) and p_end, in that order, are replaced by
@@ -246,9 +227,7 @@ def scheme_series(rho, times, params: DriveParams, shots: int | None = None,
     eig = _tilde_eig(params)
 
     p_init = np.array([float(np.trace(r @ basis0.projector(i)).real) for i in range(3)])
-    # below the complement-degeneracy threshold the complement branch carries
-    # weight <= 1e-9 and is dropped rather than prepared
-    has_complement = 1.0 - p_init > 1e-9
+    has_complement = 1.0 - p_init > COMPLEMENT_CUTOFF
     comp = [_complement_ket(psi, i, basis0) for i in range(3) if has_complement[i]]
     kets = np.column_stack([basis0.vectors, *comp, psi])
     a = basis0.vectors.conj().T @ eig.vectors
@@ -267,10 +246,8 @@ def scheme_series(rho, times, params: DriveParams, shots: int | None = None,
                 cond_bar[k, i] = shot_noise_sample(cond_bar[k, i], shots, rng)
             p_end[k] = shot_noise_sample(p_end[k], shots, rng)
 
-    p_tpm = p_init[:, None] * cond
-    p_wtpm = p_tpm + (1.0 - p_init)[:, None] * cond_bar
     e = basis0.energies
-    return [SchemeTables(float(t), p_tpm[k], p_wtpm[k], p_end[k], p_init.copy(), e.copy(), e.copy())
+    return [SchemeTables(float(t), cond[k], cond_bar[k], p_end[k], p_init.copy(), e.copy(), e.copy())
             for k, t in enumerate(times)]
 
 
@@ -373,7 +350,7 @@ def run_protocol(
     cond = _protocol_run(basis0.ket(label), t, params, shots, rng)
     if scheme == "tpm":
         return p_i * cond
-    if 1.0 - p_i > 1e-9:
+    if 1.0 - p_i > COMPLEMENT_CUTOFF:
         cond_bar = _protocol_run(_complement_ket(xi, label, basis0), t, params, shots, rng)
     else:
         cond_bar = np.zeros(3)

@@ -11,7 +11,6 @@ from quasiwork.analysis import (
     negativity,
     s_stat,
     total_negativity,
-    work_stats,
 )
 from quasiwork.propagate import propagator_closed
 from quasiwork.schemes import QuasiTable, kdq_direct, mhq_reconstruct, scheme_tables
@@ -136,17 +135,19 @@ def test_avg_work_commuting_state(rng):
 def test_avg_work_tpm_single_transition():
     omega = 5.0
     e = np.array([omega, 0.0, -omega])
-    p_tpm = np.zeros((3, 3))
-    p_tpm[0, 2] = 1.0  # + -> - with certainty
+    cond = np.eye(3)[[2, 1, 0]]  # + -> -, 0 -> 0, - -> +
     tables = schemes.SchemeTables(
         t=1.0,
-        p_tpm=p_tpm,
-        p_wtpm=p_tpm,
-        p_end=p_tpm.sum(axis=0),
-        p_init=p_tpm.sum(axis=1),
+        cond=cond,
+        cond_bar=np.zeros((3, 3)),
+        p_end=np.array([0.0, 0.0, 1.0]),
+        p_init=np.array([1.0, 0.0, 0.0]),  # starts in + with certainty
         e_init=e,
         e_final=e,
     )
+    p_tpm = np.zeros((3, 3))
+    p_tpm[0, 2] = 1.0  # + -> - with certainty
+    assert np.array_equal(tables.p_tpm, p_tpm)
     assert avg_work_tpm(tables) == pytest.approx(-2.0 * omega)
 
 
@@ -194,10 +195,12 @@ def test_negativity_from_row_decomposition(ref_grid_data):
 
 
 def test_work_stats_bundle(ref_rho, ref_params, ref_period):
+    # the per-point statistics of one consistent (tables, z) pair
     t = 0.5 * ref_period
     tab = scheme_tables(ref_rho, t, ref_params)
-    stats = work_stats(tab, mhq_reconstruct(tab))
-    assert stats.total_negativity == pytest.approx(1.0 + stats.negativity, abs=1e-12)
-    assert stats.negativity > 0.0
-    assert stats.w_mhq < stats.w_tpm
-    assert 0.0 <= stats.negativity <= NEGATIVITY_BOUND + 1e-9
+    table = mhq_reconstruct(tab)
+    aleph = negativity(table)
+    assert total_negativity(table.z) == pytest.approx(1.0 + aleph, abs=1e-12)
+    assert aleph > 0.0
+    assert avg_work_mhq(table) < avg_work_tpm(tab)
+    assert 0.0 <= aleph <= NEGATIVITY_BOUND + 1e-9

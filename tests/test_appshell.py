@@ -269,3 +269,62 @@ def test_cli_shots_and_seed_flags(tmp_path):
     assert main(args + ["--out", str(out1), "--seed", "1"]) == 0
     assert main(args + ["--out", str(out2), "--seed", "2"]) == 0
     assert (out1 / "fig2_series.csv").read_bytes() != (out2 / "fig2_series.csv").read_bytes()
+
+
+def test_fig2_zero_weight_state_keeps_its_conditionals(tmp_path):
+    # a state with p_0 = 0 still measures p(f|0); |E_0> is stationary under
+    # the reference drive's equal ramps, so that row is (0, 1, 0)
+    cfg = load_config(_write(tmp_path, "state: {weights: [0.5, 0.0, 0.5]}\n"),
+                      out_dir=tmp_path, grid_points=25)
+    emit_figure(cfg, "fig2")
+    rows = [l.split(",") for l in (tmp_path / "fig2_series.csv").read_text().splitlines()[1:]]
+    by_t: dict = {}
+    for t, series, value, _ in rows:
+        by_t.setdefault(t, {})[series] = float(value)
+    assert len(by_t) == 25
+    labels = model.ENERGY_LABELS
+    for values in by_t.values():
+        for kind in ("cond", "comp"):
+            for li in labels:
+                assert sum(values[f"{kind}:i={li}:f={lf}"] for lf in labels) == pytest.approx(1.0, abs=1e-12)
+        row = [values[f"cond:i=0:f={lf}"] for lf in labels]
+        assert np.allclose(row, [0.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_cli_sweep_failed_set_is_loud(tmp_path, capsys, monkeypatch):
+    from quasiwork import explore
+
+    real = explore.variant_extrema
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:  # set 1, first twin
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.delenv("QUASIWORK_THREADS", raising=False)
+    monkeypatch.setattr(explore, "variant_extrema", fails_once)
+    cfg = _write(tmp_path, "sweep: {n_sets: 4, n_time: 20}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "set 1" in err and "twin_ramp1" in err and "eigh did not converge" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_archive_normalizes_work_by_omega_eff(tmp_path):
+    from quasiwork.emitters import emit_sweep, omega_eff
+    from quasiwork.explore import SweepConfig, sweep
+
+    records, summary = sweep(SweepConfig(n_sets=5, n_time=30, seed=2))
+    emit_sweep(default_config(out_dir=tmp_path), records, summary)
+    lines = (tmp_path / "sweep_records.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert "omega_norm" not in header
+    assert len(lines) == 1 + 15
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        params = model.DriveParams(*(float(row[k]) for k in ("omega1", "omega2", "phi1", "phi2")))
+        assert float(row["omega_eff"]) == omega_eff(params)
+        assert float(row["min_w_over_omega"]) == float(row["min_w_rad_per_us"]) / omega_eff(params)

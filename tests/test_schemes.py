@@ -7,9 +7,6 @@ from quasiwork.schemes import (
     DegenerateComplement,
     InvalidDistribution,
     NotRankOne,
-    UnnormalizedState,
-    complement_state,
-    conditional_prob,
     epm_table,
     gate_to_zero,
     kdq_direct,
@@ -26,16 +23,23 @@ from quasiwork.schemes import (
 from conftest import random_drive, random_pure_density
 
 
-def test_conditional_prob_t0_eigenstate(ref_params):
+def _ket_row(psi, t, params):
+    """p(f|psi) as the end-point row of the prepared ket."""
+    return scheme_tables(np.outer(psi, psi.conj()), t, params).p_end
+
+
+def test_conditional_prob_t0_eigenstate(ref_rho, ref_params):
     basis0 = energy_basis(0.0, ref_params)
-    assert np.allclose(conditional_prob(basis0.ket(0), 0.0, ref_params), [1, 0, 0], atol=1e-12)
+    assert np.allclose(_ket_row(basis0.ket(0), 0.0, ref_params), [1, 0, 0], atol=1e-12)
+    assert np.allclose(scheme_tables(ref_rho, 0.0, ref_params).cond, np.eye(3), atol=1e-12)
 
 
-def test_conditional_prob_stationary(ref_params, rng):
+def test_conditional_prob_stationary(ref_rho, ref_params, rng):
     basis0 = energy_basis(0.0, ref_params)
     for _ in range(10):
-        p = conditional_prob(basis0.ket(1), rng.uniform(0, 0.6), ref_params)
-        assert np.allclose(p, [0, 1, 0], atol=1e-10)
+        t = rng.uniform(0, 0.6)
+        assert np.allclose(_ket_row(basis0.ket(1), t, ref_params), [0, 1, 0], atol=1e-10)
+        assert np.allclose(scheme_tables(ref_rho, t, ref_params).cond[1], [0, 1, 0], atol=1e-10)
 
 
 def test_conditional_prob_normalization(rng):
@@ -43,25 +47,27 @@ def test_conditional_prob_normalization(rng):
         params = random_drive(rng)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        p = conditional_prob(v, rng.uniform(0, 0.5), params)
+        p = _ket_row(v, rng.uniform(0, 0.5), params)
         assert np.all(p >= -1e-15)
         assert abs(p.sum() - 1.0) <= 1e-10
 
 
 def test_conditional_prob_unnormalized_rejected(ref_params):
-    with pytest.raises(UnnormalizedState):
-        conditional_prob(np.array([1.0, 1.0, 0.0]), 0.1, ref_params)
+    v = np.array([1.0, 1.0, 0.0])
+    with pytest.raises(ValueError):
+        scheme_tables(np.outer(v, v), 0.1, ref_params)
 
 
 def test_conditional_curves_shape(ref_params, ref_spec, ref_period):
-    # for the reference state: f=0 curve flat, f=+- oscillate; values agree
-    # with a stepped-propagator recomputation (independent of the closed form)
+    # for the reference state: f=0 curve flat, f=+- oscillate; the frame
+    # kernel's values agree with a stepped-propagator recomputation
+    # (independent of the closed form)
     from quasiwork.propagate import propagator_stepped
 
     basis0 = energy_basis(0.0, ref_params)
     xi = model.state_vector(ref_spec, basis0)
     times = np.linspace(ref_period / 100, ref_period, 100)
-    curves = np.stack([conditional_prob(xi, float(t), ref_params) for t in times])
+    curves = np.stack([tab.p_end for tab in scheme_series(np.outer(xi, xi.conj()), times, ref_params)])
     assert np.ptp(curves[:, 1]) <= 1e-10  # f=0 constant
     assert np.ptp(curves[:, 0]) > 0.1  # f=+ oscillates
     assert np.ptp(curves[:, 2]) > 0.1  # f=- oscillates
@@ -73,34 +79,54 @@ def test_conditional_curves_shape(ref_params, ref_spec, ref_period):
         assert np.max(np.abs(curves[k] - recomputed)) <= 1e-7
 
 
+def _complement_rho(rho, i, basis0):
+    """(I - Pi_i) rho (I - Pi_i) / (1 - p_i), built literally."""
+    proj = np.eye(3) - basis0.projector(i)
+    p_i = float(np.trace(rho @ basis0.projector(i)).real)
+    return proj @ rho @ proj / (1.0 - p_i)
+
+
 def test_complement_of_orthogonal_projector(ref_params):
+    # the complement of outcome 2 of |E_0(0)> is the state itself
     basis0 = energy_basis(0.0, ref_params)
     rho = basis0.projector(0)
-    out = complement_state(rho, 2, basis0)
-    assert np.max(np.abs(out - rho)) <= 1e-12
+    assert np.max(np.abs(_complement_rho(rho, 2, basis0) - rho)) <= 1e-12
+    for t in (0.0, 0.07, 0.21):
+        tab = scheme_tables(rho, t, ref_params)
+        assert np.array_equal(tab.cond_bar[0], np.zeros(3))  # p_0 = 1: dropped
+        assert np.max(np.abs(tab.cond_bar[2] - tab.p_end)) <= 1e-12
 
 
 def test_complement_populations(ref_rho, ref_params, ref_spec):
+    # at t = 0 the not-2 row is the complement's populations p_f / (1 - p_2)
     basis0 = energy_basis(0.0, ref_params)
     p = ref_spec.normalized_weights
-    rho_bar = complement_state(ref_rho, 2, basis0)
-    assert abs(np.trace(rho_bar @ basis0.projector(2)).real) <= 1e-12
+    row = scheme_tables(ref_rho, 0.0, ref_params).cond_bar[2]
+    assert abs(row[2]) <= 1e-12
     for f in (0, 1):
-        expected = p[f] / (1.0 - p[2])
-        assert np.trace(rho_bar @ basis0.projector(f)).real == pytest.approx(expected, abs=1e-10)
+        assert row[f] == pytest.approx(p[f] / (1.0 - p[2]), abs=1e-10)
+    rho_bar = _complement_rho(ref_rho, 2, basis0)
+    assert np.max(np.abs(row - epm_table(rho_bar, 0.0, ref_params))) <= 1e-12
 
 
-def test_complement_purity(ref_rho, ref_params):
+def test_complement_purity(ref_rho, ref_params, ref_period):
+    # each cond_bar row is the end-point row of the pure complement state
     basis0 = energy_basis(0.0, ref_params)
-    for i in range(3):
-        rho_bar = complement_state(ref_rho, i, basis0)
-        assert np.trace(rho_bar @ rho_bar).real == pytest.approx(1.0, abs=1e-10)
+    for t in (0.13 * ref_period, 0.71 * ref_period):
+        tab = scheme_tables(ref_rho, t, ref_params)
+        for i in range(3):
+            rho_bar = _complement_rho(ref_rho, i, basis0)
+            assert np.trace(rho_bar @ rho_bar).real == pytest.approx(1.0, abs=1e-10)
+            assert np.max(np.abs(tab.cond_bar[i] - epm_table(rho_bar, t, ref_params))) <= 1e-12
 
 
 def test_complement_degenerate(ref_params):
     basis0 = energy_basis(0.0, ref_params)
     with pytest.raises(DegenerateComplement):
-        complement_state(basis0.projector(1), 1, basis0)
+        schemes._complement_ket(basis0.ket(1), 1, basis0)
+    tab = scheme_tables(basis0.projector(1), 0.1, ref_params)
+    assert np.array_equal(tab.cond_bar[1], np.zeros(3))
+    assert np.array_equal(tab.p_wtpm[1], tab.p_tpm[1])
 
 
 def test_ket_from_pure_roundtrip(rng):
@@ -163,6 +189,10 @@ def _check_series_against_oracles(rho, params, times, tol=1e-12):
         assert np.max(np.abs(tab.p_end - epm_table(rho, t, params))) <= tol
         assert np.max(np.abs(tab.p_tpm - tpm_table(rho, t, params))) <= tol
         assert np.max(np.abs(tab.p_wtpm - wtpm_nonselective(rho, t, params))) <= tol
+        for i in range(3):
+            if 1.0 - tab.p_init[i] > schemes.COMPLEMENT_CUTOFF:
+                rho_bar = _complement_rho(rho, i, energy_basis(0.0, params))
+                assert np.max(np.abs(tab.cond_bar[i] - epm_table(rho_bar, t, params))) <= tol
         assert np.max(np.abs(tab.e_final - q.e_final)) <= tol
         assert np.array_equal(tab.e_init, q.e_init)
 
@@ -183,11 +213,12 @@ def test_scheme_series_drops_a_vanishing_complement(rng):
     rho = np.outer(psi, psi.conj())
     times = np.linspace(0.0, 0.5, 25)
     for tab in scheme_series(rho, times, params):
-        assert 1.0 - tab.p_init[0] <= 1e-9
+        assert 1.0 - tab.p_init[0] <= schemes.COMPLEMENT_CUTOFF
+        assert np.array_equal(tab.cond_bar[0], np.zeros(3))
         assert np.array_equal(tab.p_wtpm[0], tab.p_tpm[0])
     _check_series_against_oracles(rho, params, times)
     with pytest.raises(DegenerateComplement):
-        complement_state(rho, 0, basis0)
+        schemes._complement_ket(psi, 0, basis0)
 
 
 def test_scheme_series_shots_match_per_point_calls(ref_rho, ref_params, ref_period):
@@ -196,7 +227,7 @@ def test_scheme_series_shots_match_per_point_calls(ref_rho, ref_params, ref_peri
     series = scheme_series(ref_rho, times, ref_params, shots=1000, seeds=seeds)
     for k, tab in enumerate(series):
         one = scheme_tables(ref_rho, float(times[k]), ref_params, shots=1000, seed=seeds[k])
-        for name in ("p_tpm", "p_wtpm", "p_end", "p_init", "e_init", "e_final"):
+        for name in ("cond", "cond_bar", "p_tpm", "p_wtpm", "p_end", "p_init", "e_init", "e_final"):
             assert np.array_equal(getattr(tab, name), getattr(one, name))
 
 
@@ -206,7 +237,7 @@ def test_scheme_series_sub_grid_gives_the_same_rows(ref_rho, ref_params, ref_per
     part = scheme_series(ref_rho, times[17:60:3], ref_params)
     for tab, ref in zip(part, full[17:60:3]):
         assert tab.t == ref.t
-        for name in ("p_tpm", "p_wtpm", "p_end"):
+        for name in ("cond", "cond_bar", "p_tpm", "p_wtpm", "p_end"):
             assert np.array_equal(getattr(tab, name), getattr(ref, name))
 
 
@@ -307,7 +338,7 @@ def test_gate_readout_identity(ref_params, rng):
         v /= np.linalg.norm(v)
         u = propagator_closed(t, ref_params).u
         basis_t = energy_basis(t, ref_params)
-        expected = conditional_prob(v, t, ref_params)
+        expected = _ket_row(v, t, ref_params)
         evolved = u @ np.outer(v, v.conj()) @ u.conj().T
         for f in range(3):
             r = gate_to_zero(basis_t.projector(f))
@@ -408,9 +439,7 @@ def test_shot_noise_unbiased(ref_rho, ref_params, ref_period):
     acc_end /= n_seeds
     se_end = np.sqrt(np.clip(exact.p_end * (1 - exact.p_end), 1e-12, None) / (shots * n_seeds))
     assert np.all(np.abs(acc_end - exact.p_end) <= 4 * se_end)
-    p = exact.p_init
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = np.where(p[:, None] > 1e-12, exact.p_tpm / p[:, None], 0.0)
+    p, cond = exact.p_init, exact.cond
     se_tpm = p[:, None] * np.sqrt(np.clip(cond * (1 - cond), 1e-12, None) / (shots * n_seeds))
     assert np.all(np.abs(acc_tpm - exact.p_tpm) <= 4 * np.maximum(se_tpm, 1e-12))
 
