@@ -3,9 +3,8 @@
 Subcommands map one-to-one onto the deliverables: ``reproduce-fig2``,
 ``reproduce-fig3``, ``reproduce-fig4`` emit figure-equivalent series files,
 ``sweep`` runs the random-parameter study, ``selftest`` runs the reduced
-invariant battery.  Exit codes: 0 success, 1 configuration error (including a
-bad QUASIWORK_THREADS) or a sweep set that cannot be evaluated, 2 selftest
-failure.
+invariant battery.  Exit codes: 0 success, 1 configuration error or a sweep
+set that cannot be evaluated, 2 selftest failure.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .emitters import emit_figure, emit_sweep
-from .explore import InvalidThreadCount, SweepSetFailed
+from .explore import SweepSetFailed
 from .explore import sweep as run_sweep
 from .selftest import run_selftest
 
@@ -77,9 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sweep":
         try:
             records, summary = run_sweep(config.sweep)
-        except InvalidThreadCount as exc:
-            print(f"environment error: {exc}", file=sys.stderr)
-            return 1
         except SweepSetFailed as exc:
             print(f"sweep error: {exc}", file=sys.stderr)
             return 1

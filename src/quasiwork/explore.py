@@ -9,27 +9,26 @@ ramp rate.  Scored quantities per variant:
 * min over time of the average work (sign included, so "most extraction"),
 * max over time of the non-classicality -1 + sum |q[i][f]| (complex modulus).
 
-Per-set substreams (SeedSequence spawn keys) make the sweep deterministic and
-order-independent, so records are identical whether sets run serially or in a
-process pool.
+Per-set substreams (SeedSequence spawn keys) make the draws deterministic and
+order-independent.  The sweep draws every set first, then scores the variants
+in fixed-size chunks of one batched evaluation; records are identical for any
+chunk size.
 
-The per-variant evaluation avoids the measurement pipeline: with rho_e the
+The per-variant evaluation avoids the measurement pipeline.  With psi the
 state in t=0 energy coordinates and m(t) = a e^{-itL} a^dag the amplitude
-kernel of the ``schemes`` docstring, q[t, i, f] = conj(m[f, i]) (m rho_e)[f, i]
-over the whole grid, validated against the kdq_direct oracle in the tests.
+kernel of the ``schemes`` docstring, the state is pure, so
+q[t, i, f] = conj(m[t, f, i]) (m psi)[t, f] conj(psi[i]) over the whole grid,
+validated against the kdq_direct oracle in the tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DriveParams, hamiltonian_rot, hamiltonian_tilde
-from .propagate import frame_amplitudes
 from .qmath import herm_eig
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "time_window",
     "variant_extrema",
     "sweep",
-    "InvalidThreadCount",
     "SweepSetFailed",
 ]
 
@@ -50,9 +48,9 @@ MHZ_TO_ANGULAR = 2.0 * math.pi  # ordinary MHz -> rad/us
 
 VARIANT_KINDS = ("original", "twin_ramp1", "twin_ramp2")
 
-
-class InvalidThreadCount(ValueError):
-    """QUASIWORK_THREADS is set to something other than a positive integer."""
+# Variants per batched evaluation.  Larger chunks run little faster and raise
+# the sweep's peak memory (a chunk holds several (chunk, n_time, 3, 3) arrays).
+_CHUNK = 32
 
 
 class SweepSetFailed(ValueError):
@@ -183,30 +181,40 @@ def time_window(params: DriveParams) -> float:
     )
 
 
-def variant_extrema(params: DriveParams, rho: np.ndarray, n_time: int,
-                    window: float | None = None) -> tuple[float, float, float, float]:
-    """(window_end, min_req, min_w, max_aleph) on an (0, T] grid.
+def variant_extrema(params_seq, kets, n_time: int) -> np.ndarray:
+    """Extrema of a stack of variants on their (0, T] grids, shape (n, 4).
 
-    Vectorized over the grid; see the module docstring for the identity used.
+    ``params_seq`` holds n DriveParams and ``kets`` the n pure states, shape
+    (n, 3).  Row k is (window_end, min_req, min_w, max_aleph) of variant k;
+    see the module docstring for the identity used.
     """
-    t_end = time_window(params) if window is None else window
-    eig0 = herm_eig(hamiltonian_rot(0.0, params))
-    v = eig0.vectors[:, ::-1]  # descending labels (+, 0, -)
-    energies = eig0.values[::-1]
-    eig_g = herm_eig(hamiltonian_tilde(params))
-    a = v.conj().T @ eig_g.vectors
-    rho_e = v.conj().T @ np.asarray(rho, dtype=np.complex128) @ v
+    kets = np.asarray(kets, dtype=np.complex128)
+    t_end = np.array([time_window(p) for p in params_seq])
+    eig0 = herm_eig(np.stack([hamiltonian_rot(0.0, p) for p in params_seq]))
+    eig_g = herm_eig(np.stack([hamiltonian_tilde(p) for p in params_seq]))
+    v = eig0.vectors[..., ::-1]  # descending labels (+, 0, -)
+    energies = eig0.values[..., ::-1]
+    a = v.conj().swapaxes(-1, -2) @ eig_g.vectors
+    a_t = a.swapaxes(-1, -2)  # a_t[k, f] = a[f, k]
+    psi = (v.conj().swapaxes(-1, -2) @ kets[..., None])[..., 0]
+    a_psi = (a.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]
+    n = len(kets)
 
-    times = t_end * np.arange(1, n_time + 1) / n_time
-    m = frame_amplitudes(a, eig_g.values, times, a.conj().T)
-    r = np.matmul(m, rho_e)
-    q = np.transpose(m.conj() * r, (0, 2, 1))  # q[t, i, f]
+    # m[t, f, i] = sum_k e^{-it L_k} a[f, k] conj(a[i, k]) and
+    # (m psi)[t, f] = sum_k e^{-it L_k} a[f, k] (a^dag psi)[k]: one product
+    coeffs = np.concatenate([(a_t[:, :, :, None] * a_t.conj()[:, :, None, :]).reshape(n, 3, 9),
+                             a_t * a_psi[..., None]], axis=-1)
+    times = t_end[:, None] * np.arange(1, n_time + 1) / n_time
+    phases = np.exp(-1j * (times[..., None] * eig_g.values[:, None, :]))
+    amp = phases @ coeffs
+    m = amp[..., :9].reshape(n, n_time, 3, 3)
+    q = m.conj() * amp[..., 9:, None] * psi.conj()[:, None, None, :]  # q[t, f, i]
 
-    z = q.real
-    dw = energies[None, :] - energies[:, None]  # (i, f) work weights
-    work = np.einsum("tif,if->t", z, dw)
-    aleph = np.abs(q).sum(axis=(1, 2)) - 1.0
-    return t_end, float(z.min()), float(work.min()), float(aleph.max())
+    z = q.real.reshape(n, n_time, 9)
+    dw = (energies[:, :, None] - energies[:, None, :]).reshape(n, 9, 1)  # E_f - E_i
+    work = (z @ dw)[..., 0]
+    aleph = np.abs(q).sum(axis=(-2, -1)) - 1.0
+    return np.stack([t_end, z.min(axis=(1, 2)), work.min(axis=1), aleph.max(axis=1)], axis=1)
 
 
 def _twin_variants(params: DriveParams) -> tuple[DriveParams, DriveParams]:
@@ -216,65 +224,47 @@ def _twin_variants(params: DriveParams) -> tuple[DriveParams, DriveParams]:
     )
 
 
-def _run_one_set(index: int, config: SweepConfig) -> SweepRecord:
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
-    params = random_params(rng, config)
-    ket, draw = _draw_state(rng)
-    rho = np.outer(ket, ket.conj())
-    variants = []
-    for kind, p in zip(VARIANT_KINDS, (params, *_twin_variants(params))):
-        try:
-            extrema = variant_extrema(p, rho, config.n_time)
-        except (ValueError, ArithmeticError) as exc:
-            raise SweepSetFailed(f"set {index}, variant {kind}: {type(exc).__name__}: {exc}") from exc
-        variants.append(VariantResult(kind, p, *extrema))
-    return SweepRecord(
-        index=index, state_ket=tuple(ket.tolist()), state_draw=draw, variants=tuple(variants)
-    )
+def _score_chunk(jobs: list, n_time: int) -> np.ndarray:
+    """Extrema of (set index, kind, params, ket) jobs in one batched call.
 
-
-def _run_chunk(args: tuple[SweepConfig, int, int]) -> list[SweepRecord]:
-    config, start, stop = args
-    return [_run_one_set(i, config) for i in range(start, stop)]
+    A failing chunk is re-run one variant at a time to name the variant that
+    fails; if none does, the error still raises, naming the chunk's sets.
+    """
+    try:
+        return variant_extrema([p for _, _, p, _ in jobs], [ket for *_, ket in jobs], n_time)
+    except (ValueError, ArithmeticError) as exc:
+        for index, kind, p, ket in jobs:
+            try:
+                variant_extrema([p], [ket], n_time)
+            except (ValueError, ArithmeticError) as one:
+                raise SweepSetFailed(f"set {index}, variant {kind}: {type(one).__name__}: {one}") from one
+        raise SweepSetFailed(f"sets {jobs[0][0]}-{jobs[-1][0]}: {type(exc).__name__}: {exc}") from exc
 
 
 def sweep(config: SweepConfig) -> tuple[list[SweepRecord], SweepSummary]:
     """Run the full sweep; deterministic for a given config.
 
-    Honors the QUASIWORK_THREADS environment variable for process-parallel
-    execution; results are identical to the serial run because every set owns
-    an index-keyed substream and records are reassembled in index order.
-    Unset or empty means one worker; any other value that is not a positive
-    integer raises InvalidThreadCount.  A set that cannot be evaluated raises
+    Every set is drawn from its own index-keyed substream, then the variants
+    are scored ``_CHUNK`` at a time.  A set that cannot be evaluated raises
     SweepSetFailed; no set is skipped, so ``n_skipped`` is always 0.
     """
-    workers = _worker_count()
-    if workers > 1 and config.n_sets >= 4 * workers:
-        chunk = (config.n_sets + workers - 1) // workers
-        spans = [
-            (config, start, min(start + chunk, config.n_sets))
-            for start in range(0, config.n_sets, chunk)
-        ]
-        records = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, spans):
-                records.extend(part)
-    else:
-        records = [_run_one_set(i, config) for i in range(config.n_sets)]
+    rngs = (np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
+            for i in range(config.n_sets))
+    sets = [(random_params(rng, config), *_draw_state(rng)) for rng in rngs]
+    jobs = [
+        (i, kind, p, ket)
+        for i, (params, ket, _) in enumerate(sets)
+        for kind, p in zip(VARIANT_KINDS, (params, *_twin_variants(params)))
+    ]
+    rows = np.concatenate(
+        [_score_chunk(jobs[k : k + _CHUNK], config.n_time) for k in range(0, len(jobs), _CHUNK)]
+    ).tolist()
+    variants = [VariantResult(kind, p, *row) for (_, kind, p, _), row in zip(jobs, rows)]
+    records = [
+        SweepRecord(i, tuple(ket.tolist()), draw, tuple(variants[3 * i : 3 * i + 3]))
+        for i, (_, ket, draw) in enumerate(sets)
+    ]
     return records, _summarize(records, config)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QUASIWORK_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise InvalidThreadCount(f"QUASIWORK_THREADS must be a positive integer, got {raw!r}")
-    return workers
 
 
 def _summarize(records: list[SweepRecord], config: SweepConfig) -> SweepSummary:

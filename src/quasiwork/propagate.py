@@ -95,8 +95,8 @@ def propagator_closed(t: float, params: DriveParams) -> PropagatorResult:
 def frame_amplitudes(a: np.ndarray, values: np.ndarray, times, b: np.ndarray) -> np.ndarray:
     """a e^{-it diag(values)} b at every t of ``times``, shape (n, a rows, b columns).
 
-    The amplitude kernel of the figure series and the sweep; the identity
-    behind it is in the ``schemes`` module docstring.
+    The amplitude kernel of the figure series; the identity behind it is in
+    the ``schemes`` module docstring.
     """
     phases = np.exp(-1j * np.outer(times, values))
     return (a * phases[:, None, :]) @ b

@@ -3,7 +3,8 @@
 The eigensolver is LAPACK's Hermitian driver (``np.linalg.eigh``) wrapped in
 the package's input checks and a deterministic eigenvector gauge.  Matrices
 are numpy complex arrays at the API boundary; dimensions are tiny (d=3
-throughout the package).
+throughout the package).  ``herm_eig`` also takes a ``(..., d, d)`` stack and
+diagonalizes it in one LAPACK call, with bits equal to per-matrix calls.
 
 Conventions
 -----------
@@ -58,7 +59,7 @@ TOL = Tolerances()
 
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):  # finite in both real and imaginary parts
         raise ValueError("matrix contains NaN or Inf")
@@ -66,16 +67,16 @@ def _as_square(m) -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    """max |M - M^dag| scaled by max(|M|, 1)."""
+    """max |M - M^dag| scaled by max(|M|, 1); for a stack, the worst matrix on its own scale."""
     a = _as_square(m)
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    return float(np.max(np.abs(a - a.conj().T))) / scale
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / scale))
 
 
 def unitarity_defect(u) -> float:
     """max entrywise deviation of U^dag U from the identity."""
     a = _as_square(u)
-    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+    return float(np.max(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]))))
 
 
 def projector_defect(p) -> float:
@@ -90,6 +91,8 @@ class EigenSystem:
 
     values   -- eigenvalues, ascending (real, e.g. rad/us for a Hamiltonian)
     vectors  -- orthonormal eigenvectors as columns, phase-gauged
+
+    For a stack both carry the stack's leading axes.
     """
 
     values: np.ndarray
@@ -97,39 +100,44 @@ class EigenSystem:
 
     def reconstruct(self) -> np.ndarray:
         """sum_k lambda_k |v_k><v_k|."""
-        return (self.vectors * self.values) @ self.vectors.conj().T
+        return (self.vectors * self.values[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
 
 
 def herm_eig(m) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a ``(..., d, d)`` stack.
 
-    Raises NonHermitianInput when ``m`` violates the Hermitian tolerance.
-    Output is deterministic: ascending eigenvalues and a phase gauge making
-    the largest component of each eigenvector real-positive.
+    Raises NonHermitianInput when any matrix violates the Hermitian
+    tolerance, each against its own scale.  Output is deterministic:
+    ascending eigenvalues and a phase gauge making the largest component of
+    each eigenvector real-positive.  A stack gives bitwise the results of
+    per-matrix calls.
     """
     a = _as_square(m)
     defect = hermiticity_defect(a)
     if defect > TOL.hermitian:
         raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds {TOL.hermitian:.0e}")
-    values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
-    for k in range(vectors.shape[1]):
-        _phase_gauge(vectors[:, k])
+    values, vectors = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    _phase_gauge(vectors)
     return EigenSystem(values=values, vectors=vectors)
 
 
-def _phase_gauge(col: np.ndarray) -> None:
-    """Rotate a column's global phase in place so its largest component is real >= 0."""
-    mags = np.abs(col)
-    idx = 0
-    best = -1.0
-    for r, az in enumerate(mags.tolist()):
-        if az > best + 1e-15:
-            best = az
-            idx = r
-    if best == 0.0:
-        return
-    col *= col[idx].conjugate() / best
-    col[idx] = best  # kill residual imaginary roundoff at the anchor
+def _phase_gauge(vectors: np.ndarray) -> None:
+    """Rotate each unit column (axis -2) in place so its largest component is real > 0.
+
+    Near-ties within 1e-15 keep the lowest index, so an eigensolver's last-bit
+    noise cannot move the anchor.
+    """
+    mags = np.abs(vectors)
+    best, anchor = mags[..., 0, :], vectors[..., 0, :]
+    idx = np.zeros(best.shape, dtype=np.intp)
+    for r in range(1, mags.shape[-2]):
+        take = mags[..., r, :] > best + 1e-15
+        best = np.where(take, mags[..., r, :], best)
+        anchor = np.where(take, vectors[..., r, :], anchor)
+        idx[take] = r
+    # the anchor is set to exactly |anchor|, killing residual imaginary roundoff
+    at_anchor = idx[..., None, :] == np.arange(mags.shape[-2])[:, None]
+    vectors[...] = np.where(at_anchor, best[..., None, :], vectors * (anchor.conj() / best)[..., None, :])
 
 
 def unitary_exp(m, t: float):

@@ -21,7 +21,8 @@ ket k.  By the frame identity H(t) = e^{-itD} H(0) e^{itD} the energies are
 constant, |E_f(t)> = e^{-itD}|E_f(0)> up to a phase and U(t) = e^{-itD}
 e^{-itH_tilde}, so with (L, W) the eigensystem of H_tilde and V0 the t=0
 eigenvectors a whole grid is |(a e^{-itL}) b|^2, a = V0^dag W, b = W^dag K
-for the stacked kets K: ``propagate.frame_amplitudes``, shared with the sweep.
+for the stacked kets K: ``propagate.frame_amplitudes``.  The sweep evaluates
+the same kernel batched across drives (``explore`` docstring).
 
 The real part of the Kirkwood-Dirac quasiprobability follows from the three
 tables without any ancilla:

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -233,33 +232,11 @@ def test_cli_sweep_archive_reproducible(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("sweep: {n_sets: 6, n_time: 30}\nseed: 11\n")
     outs = []
-    for name, threads in (("x", None), ("y", None), ("z", "3")):
+    for name in ("x", "y"):
         out = tmp_path / name
-        old = os.environ.get("QUASIWORK_THREADS")
-        if threads is not None:
-            os.environ["QUASIWORK_THREADS"] = threads
-        try:
-            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        finally:
-            if threads is not None:
-                if old is None:
-                    os.environ.pop("QUASIWORK_THREADS", None)
-                else:
-                    os.environ["QUASIWORK_THREADS"] = old
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append((out / "sweep_records.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-
-
-@pytest.mark.parametrize("threads, code", [("abc", 1), ("0", 1), ("-2", 1), ("", 0)])
-def test_cli_sweep_thread_count(tmp_path, capsys, monkeypatch, threads, code):
-    monkeypatch.setenv("QUASIWORK_THREADS", threads)
-    cfg = tmp_path / "c.yaml"
-    cfg.write_text("sweep: {n_sets: 4, n_time: 20}\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
-    err = capsys.readouterr().err
-    if code:
-        assert err.count("\n") == 1 and "QUASIWORK_THREADS" in err
-        assert not (tmp_path / "o").exists()
+    assert outs[0] == outs[1]
 
 
 def test_cli_shots_and_seed_flags(tmp_path):
@@ -294,18 +271,19 @@ def test_fig2_zero_weight_state_keeps_its_conditionals(tmp_path):
 def test_cli_sweep_failed_set_is_loud(tmp_path, capsys, monkeypatch):
     from quasiwork import explore
 
-    real = explore.variant_extrema
-    calls = []
-
-    def fails_once(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 5:  # set 1, first twin
-            raise np.linalg.LinAlgError("eigh did not converge")
-        return real(*args, **kwargs)
-
-    monkeypatch.delenv("QUASIWORK_THREADS", raising=False)
-    monkeypatch.setattr(explore, "variant_extrema", fails_once)
     cfg = _write(tmp_path, "sweep: {n_sets: 4, n_time: 20}\n")
+    sweep_cfg = load_config(cfg).sweep
+    rng = np.random.default_rng(np.random.SeedSequence(sweep_cfg.seed, spawn_key=(1,)))
+    drawn = explore.random_params(rng, sweep_cfg)
+    twin_ramp1 = explore._twin_variants(drawn)[0]
+    real = explore.variant_extrema
+
+    def fails_on_set_1_twin(params_seq, kets, n_time):
+        if twin_ramp1 in params_seq:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return real(params_seq, kets, n_time)
+
+    monkeypatch.setattr(explore, "variant_extrema", fails_on_set_1_twin)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from quasiwork import explore, model, schemes
 from quasiwork.explore import (
     SweepConfig,
+    SweepSetFailed,
     random_params,
     random_pure_state,
     sweep,
@@ -88,28 +88,45 @@ def test_time_window_monotone():
     assert time_window(model.DriveParams(10.0, 12.0, -6.0, 3.0)) < t0
 
 
-def test_variant_extrema_matches_oracle(rng):
-    # each draw and both of its equal-ramp twins, as the sweep scores them
+def _variant_stack(rng, n_sets):
+    """Each draw and both of its equal-ramp twins, as the sweep scores them."""
     cfg = SweepConfig()
-    n = 16
-    for _ in range(8):
-        params = random_params(rng, cfg)
+    params, kets = [], []
+    for _ in range(n_sets):
+        drawn = random_params(rng, cfg)
         ket = random_pure_state(rng)
-        rho = np.outer(ket, ket.conj())
-        twins = explore._twin_variants(params)
+        twins = explore._twin_variants(drawn)
         assert all(twin.equal_phases for twin in twins)
-        for p in (params, *twins):
-            t_end, min_req, min_w, max_aleph = variant_extrema(p, rho, n)
-            zmin, wmin, amax = np.inf, np.inf, -np.inf
-            for k in range(1, n + 1):
-                q = schemes.kdq_direct(rho, t_end * k / n, p)
-                zmin = min(zmin, float(q.z.min()))
-                dw = q.e_final[None, :] - q.e_init[:, None]
-                wmin = min(wmin, float((q.z * dw).sum()))
-                amax = max(amax, float(np.abs(q.q).sum() - 1.0))
-            assert min_req == pytest.approx(zmin, abs=1e-9)
-            assert min_w == pytest.approx(wmin, abs=1e-9)
-            assert max_aleph == pytest.approx(amax, abs=1e-9)
+        params += [drawn, *twins]
+        kets += [ket] * 3
+    return params, np.array(kets)
+
+
+def test_variant_extrema_matches_oracle(rng):
+    n = 16
+    params, kets = _variant_stack(rng, 8)
+    extrema = variant_extrema(params, kets, n)
+    assert extrema.shape == (24, 4)
+    for p, ket, (t_end, min_req, min_w, max_aleph) in zip(params, kets, extrema):
+        rho = np.outer(ket, ket.conj())
+        assert t_end == time_window(p)
+        zmin, wmin, amax = np.inf, np.inf, -np.inf
+        for k in range(1, n + 1):
+            q = schemes.kdq_direct(rho, t_end * k / n, p)
+            zmin = min(zmin, float(q.z.min()))
+            dw = q.e_final[None, :] - q.e_init[:, None]
+            wmin = min(wmin, float((q.z * dw).sum()))
+            amax = max(amax, float(np.abs(q.q).sum() - 1.0))
+        assert min_req == pytest.approx(zmin, abs=1e-9)
+        assert min_w == pytest.approx(wmin, abs=1e-9)
+        assert max_aleph == pytest.approx(amax, abs=1e-9)
+
+
+def test_variant_extrema_stack_matches_single_variants(rng):
+    params, kets = _variant_stack(rng, 20)
+    extrema = variant_extrema(params, kets, 50)
+    for k, (p, ket) in enumerate(zip(params, kets)):
+        assert np.array_equal(extrema[k], variant_extrema([p], [ket], 50)[0])
 
 
 def test_sweep_determinism():
@@ -120,19 +137,27 @@ def test_sweep_determinism():
     assert sum1 == sum2
 
 
-def test_sweep_parallel_matches_serial():
+def test_sweep_records_identical_across_chunk_sizes(monkeypatch):
     cfg = SweepConfig(n_sets=16, n_time=50, seed=5)
-    serial, _ = sweep(cfg)
-    old = os.environ.get("QUASIWORK_THREADS")
-    os.environ["QUASIWORK_THREADS"] = "4"
-    try:
-        parallel, _ = sweep(cfg)
-    finally:
-        if old is None:
-            os.environ.pop("QUASIWORK_THREADS", None)
-        else:
-            os.environ["QUASIWORK_THREADS"] = old
-    assert serial == parallel
+    default, _ = sweep(cfg)
+    for chunk in (1, 7, 3 * cfg.n_sets):
+        monkeypatch.setattr(explore, "_CHUNK", chunk)
+        assert sweep(cfg)[0] == default
+
+
+def test_sweep_chunk_failure_without_a_failing_variant_is_loud(monkeypatch):
+    # only the batched call fails and every one-variant re-run succeeds: the
+    # sweep still raises, naming the chunk's sets and the original error
+    real = explore.variant_extrema
+
+    def fails_batched(params_seq, kets, n_time):
+        if len(params_seq) > 1:
+            raise FloatingPointError("overflow in chunk")
+        return real(params_seq, kets, n_time)
+
+    monkeypatch.setattr(explore, "variant_extrema", fails_batched)
+    with pytest.raises(SweepSetFailed, match=r"sets 0-3: FloatingPointError: overflow in chunk"):
+        sweep(SweepConfig(n_sets=4, n_time=20, seed=3))
 
 
 def test_sweep_record_structure():

@@ -1,8 +1,9 @@
-"""Property tests of the measured scheme rows over extreme drives and states.
+"""Property tests of the scheme rows and the oracle over extreme drives and states.
 
 Drives span omega from 1e-3 to 1e3 rad/us with ramp-to-amplitude ratios up to
-1e3, times reach ten characteristic periods, and states include populations
-within 1e-9 of one, on both sides of the complement cutoff.
+1e3, times reach ten characteristic periods for the measured rows and a
+thousand for the oracle's invariants, and states include populations within
+1e-9 of one, on both sides of the complement cutoff.
 """
 
 import numpy as np
@@ -12,8 +13,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasiwork.analysis import NEGATIVITY_BOUND
 from quasiwork.explore import time_window
-from quasiwork.model import DriveParams, energy_basis
+from quasiwork.model import DriveParams, energy_basis, hamiltonian_rot
+from quasiwork.propagate import propagator_closed
+from quasiwork.qmath import unitarity_defect
 from quasiwork.schemes import COMPLEMENT_CUTOFF, kdq_direct, mhq_reconstruct, scheme_tables
 
 _unit = st.floats(-1.0, 1.0)
@@ -48,9 +52,9 @@ def pure_states(draw, params):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, periods=10.0):
     params = draw(drives())
-    t = 10.0 * time_window(params) * draw(st.floats(0.0, 1.0))
+    t = periods * time_window(params) * draw(st.floats(0.0, 1.0))
     return params, draw(pure_states(params)), t
 
 
@@ -71,3 +75,20 @@ def test_measured_rows_compose_into_the_oracle_table(case, seed):
     for rows in (one.cond, one.cond_bar[~dropped], one.p_end[None, :]):
         assert np.all(np.sort(rows, axis=1) == [0.0, 0.0, 1.0])
     assert not np.any(one.cond_bar[dropped])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cases(periods=1e3))
+def test_oracle_invariants_over_long_times(case):
+    params, rho, t = case
+    q = kdq_direct(rho, t, params)
+    aleph = float(np.abs(q.q).sum()) - 1.0
+    assert -1e-12 <= aleph <= NEGATIVITY_BOUND + 1e-12
+
+    # two-point work identity: sum Re q dE = Tr[U rho U^dag H(t)] - Tr[rho H(0)]
+    u = propagator_closed(t, params).u
+    work = float((q.z * (q.e_final[None, :] - q.e_init[:, None])).sum())
+    exact = np.trace(u @ rho @ u.conj().T @ hamiltonian_rot(t, params)).real
+    exact -= np.trace(rho @ hamiltonian_rot(0.0, params)).real
+    assert abs(work - exact) <= 1e-12 * np.max(np.abs(q.e_init))
+    assert unitarity_defect(u) <= 1e-12

@@ -1,10 +1,34 @@
 import numpy as np
 import pytest
 
-from quasiwork import qmath
+from quasiwork import explore, model, qmath
 from quasiwork.qmath import DimensionMismatch, NonHermitianInput, herm_eig, unitary_exp
 
-from conftest import random_hermitian
+from conftest import random_drive, random_hermitian
+
+
+def _loop_gauge(col):
+    """Reference gauge, one column at a time: the rule herm_eig must keep."""
+    best, idx = -1.0, 0
+    for r, az in enumerate(np.abs(col).tolist()):
+        if az > best + 1e-15:
+            best, idx = az, r
+    col *= col[idx].conjugate() / best
+    col[idx] = best
+
+
+def _gauge_cases(rng, n):
+    """Random matrices plus inputs with exactly equal anchor magnitudes."""
+    ref = model.reference_params()
+    twins = [t for _ in range(5) for t in explore._twin_variants(random_drive(rng))]
+    return [
+        *(random_hermitian(rng, scale=float(rng.uniform(0.1, 10.0))) for _ in range(n)),
+        model.hamiltonian_rot(0.0, ref),
+        model.hamiltonian_tilde(ref),
+        *(model.hamiltonian_tilde(p) for p in twins),
+        np.eye(3),
+        np.diag([1.0, 1.0, 2.0]),
+    ]
 
 
 def test_diagonal_matrix():
@@ -54,6 +78,29 @@ def test_gauge_largest_component_real_positive():
             assert abs(anchor.imag) <= 1e-12
 
 
+def test_gauge_matches_the_per_column_loop():
+    rng = np.random.default_rng(12)
+    for h in _gauge_cases(rng, 2000):
+        _, vectors = np.linalg.eigh(h)
+        for k in range(3):
+            _loop_gauge(vectors[:, k])
+        assert np.array_equal(herm_eig(h).vectors, vectors)
+
+
+def test_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(13)
+    cases = _gauge_cases(rng, 200)
+    stack = herm_eig(np.stack(cases))
+    assert stack.values.shape == (len(cases), 3) and stack.vectors.shape == (len(cases), 3, 3)
+    for k, h in enumerate(cases):
+        one = herm_eig(h)
+        assert np.array_equal(stack.values[k], one.values)
+        assert np.array_equal(stack.vectors[k], one.vectors)
+    assert np.max(np.abs(stack.reconstruct() - np.stack(cases))) <= 1e-10
+    nested = herm_eig(np.stack(cases[:6]).reshape(2, 3, 3, 3))
+    assert np.array_equal(nested.vectors.reshape(6, 3, 3), stack.vectors[:6])
+
+
 def test_gauge_tie_prefers_lowest_index():
     # magnitudes equal to within 1e-15 anchor on the lowest index, so an
     # eigensolver's last-bit noise cannot flip which component is made real
@@ -61,7 +108,7 @@ def test_gauge_tie_prefers_lowest_index():
     for _ in range(20):
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
         col = np.array([1.0, 1.0 + 5e-16, 0.5]) * phases
-        qmath._phase_gauge(col)
+        qmath._phase_gauge(col[:, None])
         assert col[0].imag == 0.0 and col[0].real > 0.0
 
 
@@ -69,6 +116,12 @@ def test_non_hermitian_rejected():
     m = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
     with pytest.raises(NonHermitianInput):
         herm_eig(m)
+    # in a stack each matrix is checked against its own scale, so a large
+    # neighbour cannot hide a small matrix's defect
+    small = np.eye(3, dtype=complex)
+    small[0, 1] = 1e-10
+    with pytest.raises(NonHermitianInput):
+        herm_eig(np.stack([1e6 * np.eye(3), small]))
 
 
 def test_nan_rejected():
@@ -137,3 +190,7 @@ def test_unitary_exp_group_law():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         herm_eig(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        herm_eig(np.zeros((4, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        herm_eig(np.zeros(3))
