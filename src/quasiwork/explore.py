@@ -197,7 +197,7 @@ def variant_extrema(params_seq, kets, n_time: int) -> np.ndarray:
     a = v.conj().swapaxes(-1, -2) @ eig_g.vectors
     a_t = a.swapaxes(-1, -2)  # a_t[k, f] = a[f, k]
     psi = (v.conj().swapaxes(-1, -2) @ kets[..., None])[..., 0]
-    a_psi = (a.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]
+    a_psi = (a_t.conj() @ psi[..., None])[..., 0]
     n = len(kets)
 
     # m[t, f, i] = sum_k e^{-it L_k} a[f, k] conj(a[i, k]) and

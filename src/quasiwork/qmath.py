@@ -68,7 +68,10 @@ def _as_square(m) -> np.ndarray:
 
 def hermiticity_defect(m) -> float:
     """max |M - M^dag| scaled by max(|M|, 1); for a stack, the worst matrix on its own scale."""
-    a = _as_square(m)
+    return _hermiticity_defect(_as_square(m))
+
+
+def _hermiticity_defect(a: np.ndarray) -> float:
     scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / scale))
 
@@ -113,7 +116,7 @@ def herm_eig(m) -> EigenSystem:
     per-matrix calls.
     """
     a = _as_square(m)
-    defect = hermiticity_defect(a)
+    defect = _hermiticity_defect(a)
     if defect > TOL.hermitian:
         raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds {TOL.hermitian:.0e}")
     values, vectors = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
