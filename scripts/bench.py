@@ -3,14 +3,15 @@
 
 Run from anywhere; it measures the checkout it lives in:
 
-    python3 scripts/bench.py LABEL [--seconds 18] [--repeats 3] [--seed 1]
+    python3 scripts/bench.py LABEL
 
 It records, in one JSON file at the root of the checkout:
 
 * ``perfbench/run.py`` for every workload, with ``--trace 0`` (end-to-end
-  metrics) and ``--trace 1`` (per-layer metrics), at ``--seconds`` each;
+  metrics) and ``--trace 1`` (per-layer metrics), each for BENCHMARK.json's
+  ``run_seconds`` at seed ``SEED``, so snapshots compare with the benchmark;
 * wall times of CLI commands in fresh interpreters, best and worst of
-  ``--repeats``: ``reproduce-fig2/3/4``, fig4 with ``--shots 1000000``,
+  ``REPEATS``: ``reproduce-fig2/3/4``, fig4 with ``--shots 1000000``,
   ``sweep`` at 1,000 and 10,000 sets, and ``selftest``;
 * one run of the Tier-1 test suite;
 * the provenance perfbench prints (CPU, cores, Python, numpy, BLAS, git rev).
@@ -22,7 +23,6 @@ and perfbench's see the same machine.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -40,6 +40,9 @@ from run import PINNED_ENV, WORKLOAD_NAMES  # noqa: E402
 
 FIG_SHOTS = 1_000_000
 SWEEP_SIZES = (1_000, 10_000)
+REPEATS = 3
+SEED = 1
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -51,10 +54,10 @@ def child_env() -> dict:
     return env
 
 
-def perfbench(workload: str, trace: int, seed: int, seconds: float) -> dict:
+def perfbench(workload: str, trace: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(RUN_SECONDS), "--trace", str(trace)],
         cwd=ROOT, env=child_env(), capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -73,10 +76,10 @@ def perfbench(workload: str, trace: int, seed: int, seconds: float) -> dict:
     }
 
 
-def timed(args: list[str], repeats: int, cwd: Path) -> dict:
-    """Best and worst wall time of ``repeats`` fresh-interpreter runs."""
+def timed(args: list[str], cwd: Path) -> dict:
+    """Best and worst wall time of ``REPEATS`` fresh-interpreter runs."""
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(),
                               capture_output=True, text=True)
@@ -86,7 +89,7 @@ def timed(args: list[str], repeats: int, cwd: Path) -> dict:
     return {"best_s": min(runs), "worst_s": max(runs), "runs_s": runs}
 
 
-def cli_timings(repeats: int, scratch: Path) -> dict:
+def cli_timings(scratch: Path) -> dict:
     reference = ROOT / "configs" / "reference.yaml"
     configs = {}
     for n_sets in SWEEP_SIZES:
@@ -105,7 +108,7 @@ def cli_timings(repeats: int, scratch: Path) -> dict:
     for n_sets, path in configs.items():
         commands[f"sweep {n_sets} sets"] = cli("sweep", "--config", str(path))
     commands["selftest"] = cli("selftest")
-    return {name: timed(args, repeats, scratch) for name, args in commands.items()}
+    return {name: timed(args, scratch) for name, args in commands.items()}
 
 
 def tier1() -> dict:
@@ -119,29 +122,24 @@ def tier1() -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label", help="the file written is BENCH_<label>.json")
-    parser.add_argument("--seconds", type=float, default=18.0, help="perfbench run length")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per CLI command")
-    parser.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
-    args = parser.parse_args(argv)
-    if args.repeats < 1 or args.seconds <= 0:
-        parser.error("--repeats and --seconds must be positive")
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or args[0].startswith("-"):
+        print("usage: python3 scripts/bench.py LABEL  (writes BENCH_<LABEL>.json)", file=sys.stderr)
+        return 2
+    label = args[0]
 
-    bench = {"label": args.label, "settings": vars(args)}
-    bench["perfbench"] = {
-        w: {f"trace{t}": perfbench(w, t, args.seed, args.seconds) for t in (0, 1)}
-        for w in WORKLOAD_NAMES
-    }
+    bench = {"label": label,
+             "settings": {"label": label, "seconds": RUN_SECONDS, "repeats": REPEATS, "seed": SEED}}
+    bench["perfbench"] = {w: {f"trace{t}": perfbench(w, t) for t in (0, 1)} for w in WORKLOAD_NAMES}
     first = bench["perfbench"][WORKLOAD_NAMES[0]]["trace0"].get("provenance", {})
     bench["provenance"] = {k: first.get(k) for k in
                            ("cpu_model", "cpu_count", "affinity", "python", "numpy", "blas",
                             "git_rev", "env")}
     with tempfile.TemporaryDirectory(prefix="bench-") as scratch:
-        bench["cli"] = cli_timings(args.repeats, Path(scratch))
+        bench["cli"] = cli_timings(Path(scratch))
     bench["tier1"] = tier1()
 
-    path = ROOT / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {path}")
     return 0

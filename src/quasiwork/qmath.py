@@ -3,8 +3,8 @@
 The eigensolver is LAPACK's Hermitian driver (``np.linalg.eigh``) wrapped in
 the package's input checks and a deterministic eigenvector gauge.  Matrices
 are numpy complex arrays at the API boundary; dimensions are tiny (d=3
-throughout the package).  ``herm_eig`` also takes a ``(..., d, d)`` stack and
-diagonalizes it in one LAPACK call, with bits equal to per-matrix calls.
+throughout the package).  ``herm_eig`` and ``unitary_exp`` also take a
+``(..., d, d)`` stack, diagonalized in one LAPACK call with per-matrix bits.
 
 Conventions
 -----------
@@ -144,10 +144,10 @@ def _phase_gauge(vectors: np.ndarray) -> None:
 
 
 def unitary_exp(m, t: float):
-    """exp(-1j*t*M) for Hermitian M, via the spectral decomposition.
+    """exp(-1j*t*M) for Hermitian M or a ``(..., d, d)`` stack, via the spectral decomposition.
 
     Exact up to eigensolver tolerance; the result passes the unitarity check.
     """
     eig = herm_eig(m)
     phases = np.exp(-1j * t * eig.values)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    return (eig.vectors * phases[..., None, :]) @ eig.vectors.conj().swapaxes(-1, -2)

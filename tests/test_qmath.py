@@ -187,6 +187,17 @@ def test_unitary_exp_group_law():
         assert np.max(np.abs(lhs - unitary_exp(h, s + t))) <= 1e-9
 
 
+def test_unitary_exp_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(9)
+    hs = np.stack([random_hermitian(rng) for _ in range(3)])  # (3, 3, 3): no axis can be misread
+    stack = unitary_exp(hs, 0.7)
+    assert stack.shape == (3, 3, 3)
+    for h, u in zip(hs, stack):
+        assert np.max(np.abs(u - unitary_exp(h, 0.7))) <= 1e-15
+    with pytest.raises(DimensionMismatch):
+        unitary_exp(np.zeros((4, 2, 3)), 0.7)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         herm_eig(np.zeros((2, 3)))
