@@ -10,9 +10,12 @@ It records, in one JSON file at the root of the checkout:
 * ``perfbench/run.py`` for every workload, with ``--trace 0`` (end-to-end
   metrics) and ``--trace 1`` (per-layer metrics), each for BENCHMARK.json's
   ``run_seconds`` at seed ``SEED``, so snapshots compare with the benchmark;
-* wall times of CLI commands in fresh interpreters, best and worst of
-  ``REPEATS``: ``reproduce-fig2/3/4``, fig4 with ``--shots 1000000``,
+* wall times of CLI commands in fresh interpreters, best, median and worst
+  of ``REPEATS``: ``reproduce-fig2/3/4``, fig4 with ``--shots 1000000``,
   ``sweep`` at 1,000 and 10,000 sets, and ``selftest``;
+* per-layer min-of-N ``timeit`` timings from ``scripts/bench_layers.py``
+  (eigensolver, ``energy_basis``, the propagators, ``scheme_series``, a sweep
+  chunk, CSV/JSON writing), in a fresh interpreter;
 * one run of the Tier-1 test suite;
 * the provenance perfbench prints (CPU, cores, Python, numpy, BLAS, git rev).
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -77,7 +81,7 @@ def perfbench(workload: str, trace: int) -> dict:
 
 
 def timed(args: list[str], cwd: Path) -> dict:
-    """Best and worst wall time of ``REPEATS`` fresh-interpreter runs."""
+    """Best, median and worst wall time of ``REPEATS`` fresh-interpreter runs."""
     runs = []
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -86,7 +90,8 @@ def timed(args: list[str], cwd: Path) -> dict:
         runs.append(time.perf_counter() - start)
         if proc.returncode != 0:
             return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:], "runs_s": runs}
-    return {"best_s": min(runs), "worst_s": max(runs), "runs_s": runs}
+    return {"best_s": min(runs), "median_s": statistics.median(runs), "worst_s": max(runs),
+            "runs_s": runs}
 
 
 def cli_timings(scratch: Path) -> dict:
@@ -109,6 +114,14 @@ def cli_timings(scratch: Path) -> dict:
         commands[f"sweep {n_sets} sets"] = cli("sweep", "--config", str(path))
     commands["selftest"] = cli("selftest")
     return {name: timed(args, scratch) for name, args in commands.items()}
+
+
+def layer_timings() -> dict:
+    proc = subprocess.run([sys.executable, "scripts/bench_layers.py"], cwd=ROOT, env=child_env(),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return json.loads(proc.stdout)
 
 
 def tier1() -> dict:
@@ -137,6 +150,7 @@ def main(argv=None) -> int:
                             "git_rev", "env")}
     with tempfile.TemporaryDirectory(prefix="bench-") as scratch:
         bench["cli"] = cli_timings(Path(scratch))
+    bench["layers"] = layer_timings()
     bench["tier1"] = tier1()
 
     path = ROOT / f"BENCH_{label}.json"

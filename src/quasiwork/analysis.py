@@ -57,16 +57,22 @@ class ClassicalDecomposition:
         return float(np.sum(self.mu * (self.e_final_eff - self.e_init_eff)))
 
 
-def negativity(table: QuasiTable | np.ndarray) -> float:
+def negativity(table: QuasiTable | np.ndarray) -> float | np.ndarray:
     """-1 + sum of magnitudes: complex modulus for a full Kirkwood-Dirac
     table, absolute value for a reconstructed real table."""
     mags = table.magnitudes if isinstance(table, QuasiTable) else np.abs(np.asarray(table))
-    return float(mags.sum() - 1.0)
+    return _per_table_sum(mags) - 1.0
 
 
-def total_negativity(z) -> float:
+def _per_table_sum(x: np.ndarray) -> float | np.ndarray:
+    """One sum per table over the last two axes, adding cells in row-major order."""
+    total = x.reshape(*x.shape[:-2], -1).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def total_negativity(z) -> float | np.ndarray:
     """||z|| = sum |z[i][f]|; exceeds 1 exactly when some entry is negative."""
-    return float(np.abs(np.asarray(z)).sum())
+    return _per_table_sum(np.abs(np.asarray(z)))
 
 
 def classical_decomposition(table: QuasiTable) -> ClassicalDecomposition:
@@ -91,22 +97,23 @@ def _work_weights(e_init, e_final) -> np.ndarray:
     return np.asarray(e_final)[None, :] - np.asarray(e_init)[:, None]
 
 
-def avg_work_mhq(table: QuasiTable) -> float:
+def avg_work_mhq(table: QuasiTable) -> float | np.ndarray:
     """<W> = sum_{i,f} Re q[i][f] * (E_f(t) - E_i(0))."""
-    return float(np.sum(table.z * _work_weights(table.e_init, table.e_final)))
+    return _per_table_sum(table.z * _work_weights(table.e_init, table.e_final))
 
 
-def avg_work_tpm(tables: SchemeTables) -> float:
+def avg_work_tpm(tables: SchemeTables) -> float | np.ndarray:
     """<W>_TPM = sum_{i,f} p_tpm[i][f] * (E_f(t) - E_i(0))."""
-    return float(np.sum(tables.p_tpm * _work_weights(tables.e_init, tables.e_final)))
+    return _per_table_sum(tables.p_tpm * _work_weights(tables.e_init, tables.e_final))
 
 
-def s_stat(z) -> float:
+def s_stat(z) -> float | np.ndarray:
     """Summed quasiprobability mass of the two upper initial labels.
 
     sum_f z[+][f] + z[0][f]; equals p_+ + p_0 identically in t by the row
     marginal identity, so it is a constant consistency statistic.
     """
     z = np.asarray(z)
-    return float(z[0].sum() + z[1].sum())
+    total = z[..., 0, :].sum(axis=-1) + z[..., 1, :].sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 

@@ -1,10 +1,12 @@
 """Figure-equivalent data emission: tidy CSV series plus JSON metadata.
 
 Each figure evaluates its whole time grid with one ``scheme_series`` call
-(the frame identity in the ``schemes`` docstring).  Every emitted row is a
-pure function of (config, seed); with shots set, per-time-point sampling
-seeds derive from SeedSequence(seed, figure_tag, time_index), so files are
-byte-stable for a fixed configuration and independent of evaluation order.
+(the frame identity in the ``schemes`` docstring) and computes every series
+as an array along that grid; only the CSV writer loops over time points.
+Every emitted row is a pure function of (config, seed); with shots set,
+per-time-point sampling seeds derive from SeedSequence(seed, figure_tag,
+time_index), so files are byte-stable for a fixed configuration and
+independent of evaluation order.
 
 Series files share one schema: columns (t_us, series, value, stderr); the
 stderr column is empty for exact (noiseless) runs.  Work values, in fig4
@@ -17,20 +19,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import NEGATIVITY_BOUND, avg_work_mhq, avg_work_tpm, total_negativity
+from .analysis import NEGATIVITY_BOUND, _per_table_sum, avg_work_mhq, avg_work_tpm, total_negativity
 from .config import RunConfig
 from .explore import SweepRecord, SweepSummary, time_window
-from .model import ENERGY_LABELS, DriveParams, _amplitude_gauge, energy_basis, initial_state
+from .model import ENERGY_LABELS, DriveParams, _amplitude_gauge, _energy_basis0, initial_state
 from .schemes import SchemeTables, mhq_reconstruct, scheme_series
 
 __all__ = [
-    "SeriesRow",
     "figure_times",
     "emit_figure",
     "emit_sweep",
@@ -39,13 +39,8 @@ __all__ = [
 
 _FIG_TAGS = {"fig2": 2, "fig3": 3, "fig4": 4}
 
-
-@dataclass(frozen=True)
-class SeriesRow:
-    t_us: float
-    series: str
-    value: float
-    stderr: float | None
+# One figure series: (name, value per time point, stderr per time point or None).
+Series = tuple[str, np.ndarray, "np.ndarray | None"]
 
 
 def figure_times(config: RunConfig) -> np.ndarray:
@@ -61,8 +56,8 @@ def omega_eff(params: DriveParams) -> float:
     return math.sqrt(0.5 * (params.omega1**2 + params.omega2**2))
 
 
-def _series(config: RunConfig, fig_tag: str, times: np.ndarray) -> list[SchemeTables]:
-    rho = initial_state(config.state, energy_basis(0.0, config.params))
+def _tables(config: RunConfig, fig_tag: str, times: np.ndarray) -> SchemeTables:
+    rho = initial_state(config.state, _energy_basis0(config.params))
     seeds = None
     if config.shots is not None:
         tag = _FIG_TAGS[fig_tag]
@@ -71,7 +66,7 @@ def _series(config: RunConfig, fig_tag: str, times: np.ndarray) -> list[SchemeTa
 
 
 def z_stderr_prediction(tables: SchemeTables, shots: int) -> np.ndarray:
-    """Binomial error propagation for the reconstructed real table.
+    """Binomial error propagation for the reconstructed real table, per time point.
 
     z[i][f] = p_i c[i][f]/2 - (1-p_i) cbar[i][f]/2 + e[f]/2 where c, cbar and
     e are the independently measured conditional distributions, each from
@@ -86,7 +81,7 @@ def z_stderr_prediction(tables: SchemeTables, shots: int) -> np.ndarray:
     var = (
         p[:, None] ** 2 * c * (1.0 - c)
         + (1.0 - p)[:, None] ** 2 * cbar * (1.0 - cbar)
-        + (e * (1.0 - e))[None, :]
+        + (e * (1.0 - e))[..., None, :]
     ) / (4.0 * shots)
     return np.sqrt(var)
 
@@ -96,87 +91,67 @@ def _conditional_stderr(value: np.ndarray, shots: int) -> np.ndarray:
     return np.sqrt(v * (1.0 - v) / shots)
 
 
-def _fig2_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
-    rows: list[SeriesRow] = []
-    shots = config.shots
-    for t, tab in zip(times, _series(config, "fig2", times)):
-        if shots is not None:
-            se_end, se_cond, se_bar = (
-                _conditional_stderr(x, shots).tolist() for x in (tab.p_end, tab.cond, tab.cond_bar)
-            )
+def _fig2_series(config: RunConfig, times: np.ndarray) -> list[Series]:
+    tab = _tables(config, "fig2", times)
+    values = {f"end:f={lf}": tab.p_end[:, f] for f, lf in enumerate(ENERGY_LABELS)}
+    for i, li in enumerate(ENERGY_LABELS):
         for f, lf in enumerate(ENERGY_LABELS):
-            se = None if shots is None else se_end[f]
-            rows.append(SeriesRow(float(t), f"end:f={lf}", float(tab.p_end[f]), se))
-        for i, li in enumerate(ENERGY_LABELS):
-            for f, lf in enumerate(ENERGY_LABELS):
-                se = None if shots is None else se_cond[i][f]
-                rows.append(SeriesRow(float(t), f"cond:i={li}:f={lf}", float(tab.cond[i, f]), se))
-                se = None if shots is None else se_bar[i][f]
-                rows.append(SeriesRow(float(t), f"comp:i={li}:f={lf}", float(tab.cond_bar[i, f]), se))
-    return rows
-
-
-def _fig3_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
-    rows: list[SeriesRow] = []
+            values[f"cond:i={li}:f={lf}"] = tab.cond[:, i, f]
+            values[f"comp:i={li}:f={lf}"] = tab.cond_bar[:, i, f]
     shots = config.shots
-    for t, tab in zip(times, _series(config, "fig3", times)):
-        z = mhq_reconstruct(tab).z
-        se_z = None if shots is None else z_stderr_prediction(tab, shots)
-        for i, li in enumerate(ENERGY_LABELS):
-            for f, lf in enumerate(ENERGY_LABELS):
-                se = None if se_z is None else float(se_z[i, f])
-                rows.append(SeriesRow(float(t), f"z:i={li}:f={lf}", float(z[i, f]), se))
-        se_row = None if se_z is None else float(np.sqrt((se_z[2] ** 2).sum()))
-        rows.append(SeriesRow(float(t), "sum_abs_z:i=-", float(np.abs(z[2]).sum()), se_row))
-        se_all = None if se_z is None else float(np.sqrt((se_z**2).sum()))
-        rows.append(SeriesRow(float(t), "negativity", float(total_negativity(z) - 1.0), se_all))
-        rows.append(SeriesRow(float(t), "ref:zero", 0.0, None))
-        rows.append(SeriesRow(float(t), "ref:bound", float(NEGATIVITY_BOUND), None))
-    return rows
+    return [(name, v, None if shots is None else _conditional_stderr(v, shots))
+            for name, v in values.items()]
 
 
-def _fig4_rows(config: RunConfig, times: np.ndarray) -> list[SeriesRow]:
-    rows: list[SeriesRow] = []
+def _fig3_series(config: RunConfig, times: np.ndarray) -> list[Series]:
+    shots = config.shots
+    tab = _tables(config, "fig3", times)
+    z = mhq_reconstruct(tab).z
+    se_z = None if shots is None else z_stderr_prediction(tab, shots)
+    series: list[Series] = [(f"z:i={li}:f={lf}", z[:, i, f], None if se_z is None else se_z[:, i, f])
+                            for i, li in enumerate(ENERGY_LABELS) for f, lf in enumerate(ENERGY_LABELS)]
+    se_row = None if se_z is None else np.sqrt((se_z[:, 2] ** 2).sum(axis=-1))
+    series.append(("sum_abs_z:i=-", np.abs(z[:, 2]).sum(axis=-1), se_row))
+    # the two whole-table sums run over (f, i), the memory order in which the
+    # per-point sums of v0.5.0 added them; this keeps the file's bytes
+    se_all = None if se_z is None else np.sqrt(_per_table_sum((se_z**2).swapaxes(-1, -2)))
+    series.append(("negativity", total_negativity(z.swapaxes(-1, -2)) - 1.0, se_all))
+    series.append(("ref:zero", np.zeros(len(times)), None))
+    series.append(("ref:bound", np.full(len(times), float(NEGATIVITY_BOUND)), None))
+    return series
+
+
+def _fig4_series(config: RunConfig, times: np.ndarray) -> list[Series]:
     shots = config.shots
     om = omega_eff(config.params)
-    for t, tab in zip(times, _series(config, "fig4", times)):
-        table = mhq_reconstruct(tab)
-        w = avg_work_mhq(table)
-        w_tpm = avg_work_tpm(tab)
-        if shots is None:
-            se_w = se_t = None
-        else:
-            # neglects cross-cell covariance; stated in the metadata
-            se_z = z_stderr_prediction(tab, shots)
-            dw = tab.e_final[None, :] - tab.e_init[:, None]
-            se_w = float(np.sqrt(((se_z * dw) ** 2).sum()))
-            se_c = _conditional_stderr(tab.cond, shots)
-            se_t = float(np.sqrt(((tab.p_init[:, None] * se_c * dw) ** 2).sum()))
-        rows.append(SeriesRow(float(t), "w_mhq", w, se_w))
-        rows.append(SeriesRow(float(t), "w_tpm", w_tpm, se_t))
-        rows.append(SeriesRow(float(t), "w_mhq_over_omega", w / om, None if se_w is None else se_w / om))
-        rows.append(SeriesRow(float(t), "w_tpm_over_omega", w_tpm / om, None if se_t is None else se_t / om))
-    return rows
+    tab = _tables(config, "fig4", times)
+    w = avg_work_mhq(mhq_reconstruct(tab))
+    w_tpm = avg_work_tpm(tab)
+    se_w = se_t = None
+    if shots is not None:
+        # neglects cross-cell covariance; stated in the metadata
+        dw = tab.e_final[None, :] - tab.e_init[:, None]
+        se_w = np.sqrt(_per_table_sum((z_stderr_prediction(tab, shots) * dw) ** 2))
+        se_c = _conditional_stderr(tab.cond, shots)
+        se_t = np.sqrt(_per_table_sum((tab.p_init[:, None] * se_c * dw) ** 2))
+    return [
+        ("w_mhq", w, se_w),
+        ("w_tpm", w_tpm, se_t),
+        ("w_mhq_over_omega", w / om, None if se_w is None else se_w / om),
+        ("w_tpm_over_omega", w_tpm / om, None if se_t is None else se_t / om),
+    ]
 
 
 def _tomography_rows(config: RunConfig) -> list[dict]:
-    basis0 = energy_basis(0.0, config.params)
+    basis0 = _energy_basis0(config.params)
     rho = initial_state(config.state, basis0)
     gauge = _amplitude_gauge(basis0.vectors)
     rho_e = gauge.conj().T @ rho @ gauge
     rows = []
     for i, li in enumerate(ENERGY_LABELS):
         for f, lf in enumerate(ENERGY_LABELS):
-            val = rho_e[i, f]
-            rows.append(
-                {
-                    "bra": li,
-                    "ket": lf,
-                    "re": float(val.real),
-                    "im": float(val.imag),
-                    "abs": float(abs(val)),
-                }
-            )
+            v = rho_e[i, f]
+            rows.append({"bra": li, "ket": lf, "re": float(v.real), "im": float(v.imag), "abs": float(abs(v))})
     return rows
 
 
@@ -220,13 +195,13 @@ def emit_figure(config: RunConfig, target: str) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    builder = {"fig2": _fig2_rows, "fig3": _fig3_rows, "fig4": _fig4_rows}[target]
-    rows = builder(config, times)
+    builder = {"fig2": _fig2_series, "fig3": _fig3_series, "fig4": _fig4_series}[target]
+    series = builder(config, times)
     series_path = out / f"{target}_series.csv"
-    _write_series(series_path, rows)
+    _write_series(series_path, times, series)
     written.append(series_path)
 
-    extra: dict = {"series": sorted({r.series for r in rows})}
+    extra: dict = {"series": sorted(name for name, _, _ in series)}
     if target == "fig2":
         tomo_path = out / "fig2_tomography.csv"
         _write_dict_rows(tomo_path, _tomography_rows(config), ["bra", "ket", "re", "im", "abs"])
@@ -289,13 +264,16 @@ def emit_sweep(config: RunConfig, records: list[SweepRecord], summary: SweepSumm
     return [records_path, summary_path]
 
 
-def _write_series(path: Path, rows: list[SeriesRow]) -> None:
+def _write_series(path: Path, times: np.ndarray, series: list[Series]) -> None:
+    """One row per (time point, series), time-major; ``.tolist()`` so repr gives plain floats."""
+    cells = [(name, v.tolist(), None if se is None else se.tolist()) for name, v, se in series]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_us", "series", "value", "stderr"])
-        for r in rows:
-            writer.writerow(
-                [repr(r.t_us), r.series, repr(r.value), "" if r.stderr is None else repr(r.stderr)]
+        for k, t in enumerate(times.tolist()):
+            t_us = repr(t)
+            writer.writerows(
+                [t_us, name, repr(v[k]), "" if se is None else repr(se[k])] for name, v, se in cells
             )
 
 

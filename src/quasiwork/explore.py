@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DriveParams, hamiltonian_rot, hamiltonian_tilde
+from .model import DriveParams, _hamiltonian_stack
 from .qmath import herm_eig
 
 __all__ = [
@@ -190,8 +190,12 @@ def variant_extrema(params_seq, kets, n_time: int) -> np.ndarray:
     """
     kets = np.asarray(kets, dtype=np.complex128)
     t_end = np.array([time_window(p) for p in params_seq])
-    eig0 = herm_eig(np.stack([hamiltonian_rot(0.0, p) for p in params_seq]))
-    eig_g = herm_eig(np.stack([hamiltonian_tilde(p) for p in params_seq]))
+    w1, w2, f1, f2 = np.array([(p.omega1, p.omega2, p.phi1, p.phi2) for p in params_seq]).T
+    h0 = _hamiltonian_stack(0.0, w1, w2, f1, f2)  # bitwise hamiltonian_rot(0.0, p) per variant
+    h_tilde = h0.copy()
+    h_tilde[:, 0, 0], h_tilde[:, 2, 2] = -f1, -f2  # and hamiltonian_tilde(p)
+    eig0 = herm_eig(h0)
+    eig_g = herm_eig(h_tilde)
     v = eig0.vectors[..., ::-1]  # descending labels (+, 0, -)
     energies = eig0.values[..., ::-1]
     a = v.conj().swapaxes(-1, -2) @ eig_g.vectors

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,6 +149,15 @@ def hamiltonian_rot(t: float, params: DriveParams) -> np.ndarray:
     )
 
 
+def _hamiltonian_stack(t, omega1, omega2, phi1, phi2) -> np.ndarray:
+    """``hamiltonian_rot`` broadcast over array arguments, shape (..., 3, 3)."""
+    a = (omega1 / np.sqrt(2.0)) * np.exp(-1j * phi1 * t)
+    b = (omega2 / np.sqrt(2.0)) * np.exp(-1j * phi2 * t)
+    h = np.zeros((*np.broadcast(a, b).shape, 3, 3), dtype=np.complex128)
+    h[..., 0, 1], h[..., 1, 0], h[..., 2, 1], h[..., 1, 2] = a, np.conj(a), b, np.conj(b)
+    return h
+
+
 def hamiltonian_tilde(params: DriveParams) -> np.ndarray:
     """Time-independent Hamiltonian of the co-ramping frame.
 
@@ -198,6 +208,15 @@ def energy_basis(t: float, params: DriveParams) -> EnergyBasis:
     vectors = np.stack([eig.vectors[:, k] for k in order], axis=1)
     projectors = tuple(np.outer(vectors[:, k], vectors[:, k].conj()) for k in range(3))
     return EnergyBasis(t=t, energies=energies, vectors=vectors, projectors=projectors)
+
+
+@lru_cache(maxsize=256)
+def _energy_basis0(params: DriveParams) -> EnergyBasis:
+    """``energy_basis(0.0, params)``, diagonalized once per drive; its arrays are read-only."""
+    basis = energy_basis(0.0, params)
+    for arr in (basis.energies, basis.vectors, *basis.projectors):
+        arr.flags.writeable = False
+    return basis
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import DriveParams, hamiltonian_rot, hamiltonian_tilde
+from .model import DriveParams, _hamiltonian_stack, hamiltonian_rot, hamiltonian_tilde
 from .qmath import herm_eig
 
 __all__ = ["PropagatorResult", "propagator_closed", "frame_amplitudes", "propagator_stepped"]
@@ -118,22 +118,10 @@ def propagator_stepped(t: float, params: DriveParams, n_steps: int) -> Propagato
     for start in range(0, n_steps, chunk):
         stop = min(start + chunk, n_steps)
         times = (np.arange(start, stop, dtype=np.float64) + 0.5) * dt
-        h = _hamiltonian_stack(times, params)
+        h = _hamiltonian_stack(times, params.omega1, params.omega2, params.phi1, params.phi2)
         steps = eye + c1 * h + c2 * np.matmul(h, h)
         u = _ordered_product(steps) @ u
     return PropagatorResult(t=t, u=u, method=f"stepped({n_steps})")
-
-
-def _hamiltonian_stack(times: np.ndarray, params: DriveParams) -> np.ndarray:
-    """H(t) for a whole vector of times, shape (n, 3, 3)."""
-    a = (params.omega1 / math.sqrt(2.0)) * np.exp(-1j * params.phi1 * times)
-    b = (params.omega2 / math.sqrt(2.0)) * np.exp(-1j * params.phi2 * times)
-    h = np.zeros((times.size, 3, 3), dtype=np.complex128)
-    h[:, 0, 1] = a
-    h[:, 1, 0] = np.conj(a)
-    h[:, 2, 1] = b
-    h[:, 1, 2] = np.conj(b)
-    return h
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:

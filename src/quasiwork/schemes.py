@@ -13,7 +13,8 @@ share that primitive:
           p_i * p(f|i) + (1 - p_i) * p(f|not-i).
 
 ``SchemeTables`` holds what such an experiment measures: the rows p(f|i),
-p(f|not-i) and p_end, with the exact weights p_i.  Its ``p_tpm`` and
+p(f|not-i) and p_end, with the exact weights p_i, for one time point or, with
+a leading time axis on the rows, for a whole grid.  Its ``p_tpm`` and
 ``p_wtpm`` properties are the only place the rows are composed into tables.
 
 Every measured row is a Born distribution |<E_f(t)|U(t)|k>|^2 of a prepared
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DriveParams, EnergyBasis, InitialStateSpec, energy_basis, state_vector
+from .model import DriveParams, EnergyBasis, InitialStateSpec, _energy_basis0, energy_basis, state_vector
 from .propagate import _tilde_eig, _validate_closed_form, frame_amplitudes, propagator_closed
 from .qmath import TOL, projector_defect
 
@@ -91,23 +92,29 @@ class InvalidDistribution(ValueError):
 
 @dataclass(frozen=True)
 class SchemeTables:
-    """The measured rows of the three schemes at a common time point.
+    """The measured rows of the three schemes at one time point or on a grid.
 
-    cond[i][f] = p(f|i) after preparing |E_i(0)>, cond_bar[i][f] = p(f|not-i)
-    after preparing the normalized complement (a zero row where that branch
-    is dropped), the end-point row p_end[f], and the exact initial-energy
-    populations p_init[i].  Energy ladders at t=0 and t ride along so
-    downstream reconstructions can attach work values without re-deriving
-    the model.
+    cond[..., i, f] = p(f|i) after preparing |E_i(0)>, cond_bar[..., i, f] =
+    p(f|not-i) after preparing the normalized complement (a zero row where
+    that branch is dropped), the end-point rows p_end[..., f], and the exact
+    initial-energy populations p_init[i].  On a grid ``t`` is the times array
+    and the rows carry a leading time axis; ``at(k)`` is one point.  Energy
+    ladders at t=0 and t ride along so downstream reconstructions can attach
+    work values without re-deriving the model.
     """
 
-    t: float
+    t: float | np.ndarray
     cond: np.ndarray
     cond_bar: np.ndarray
     p_end: np.ndarray
     p_init: np.ndarray
     e_init: np.ndarray
     e_final: np.ndarray
+
+    def at(self, k: int) -> SchemeTables:
+        """The tables at grid index k."""
+        return SchemeTables(float(self.t[k]), self.cond[k], self.cond_bar[k], self.p_end[k],
+                            self.p_init, self.e_init, self.e_final)
 
     @property
     def p_tpm(self) -> np.ndarray:
@@ -126,11 +133,11 @@ class QuasiTable:
 
     ``q`` is the complex Kirkwood-Dirac table when produced by the direct
     oracle, None when the table was reconstructed from measured schemes
-    (the reconstruction only reaches the real part).  ``z`` is always the
-    real table.
+    (the reconstruction only reaches the real part; on a grid ``t`` is the
+    times array and ``z`` has a leading time axis).  ``z`` is always real.
     """
 
-    t: float
+    t: float | np.ndarray
     z: np.ndarray
     e_init: np.ndarray
     e_final: np.ndarray
@@ -184,7 +191,7 @@ def tpm_table(rho, t: float, params: DriveParams) -> np.ndarray:
     """Two-point-measurement joint table p_i * p(f|i); rho may be mixed."""
     r = np.asarray(rho, dtype=np.complex128)
     u = propagator_closed(t, params).u
-    basis0 = energy_basis(0.0, params)
+    basis0 = _energy_basis0(params)
     basis_t = energy_basis(t, params)
     out = np.empty((3, 3))
     for i in range(3):
@@ -198,7 +205,7 @@ def wtpm_nonselective(rho, t: float, params: DriveParams) -> np.ndarray:
     """Oracle route: evolve the dephased state Pi rho Pi + (I-Pi) rho (I-Pi) directly."""
     r = np.asarray(rho, dtype=np.complex128)
     u = propagator_closed(t, params).u
-    basis0 = energy_basis(0.0, params)
+    basis0 = _energy_basis0(params)
     basis_t = energy_basis(t, params)
     eye = np.eye(3)
     out = np.empty((3, 3))
@@ -212,18 +219,20 @@ def wtpm_nonselective(rho, t: float, params: DriveParams) -> np.ndarray:
 
 
 def scheme_series(rho, times, params: DriveParams, shots: int | None = None,
-                  seeds=None) -> list[SchemeTables]:
-    """The measured rows of all three schemes for a pure state at every point of ``times``.
+                  seeds=None) -> SchemeTables:
+    """The measured rows of all three schemes for a pure state on the grid ``times``.
 
-    Noiseless (shots=None) rows are exact Born probabilities.  With shots, the
-    rows p(f|i), p(f|not-i) and p_end, in that order, are replaced by
-    multinomial frequencies drawn point by point from ``default_rng(seeds[k])``;
-    the composition weights p_i stay exact (state calibration constants).
+    Returns one ``SchemeTables`` whose rows carry a leading time axis.
+    Noiseless (shots=None) rows are exact Born probabilities.  With shots,
+    each point's rows p(f|i), kept p(f|not-i) and p_end, in that order, are
+    replaced by multinomial frequencies from one ``shot_noise_sample`` call
+    on ``default_rng(seeds[k])``; the composition weights p_i stay exact
+    (state calibration constants).
     """
     r = np.asarray(rho, dtype=np.complex128)
     psi = ket_from_pure(r)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    basis0 = energy_basis(0.0, params)
+    basis0 = _energy_basis0(params)
     _validate_closed_form()
     eig = _tilde_eig(params)
 
@@ -234,33 +243,25 @@ def scheme_series(rho, times, params: DriveParams, shots: int | None = None,
     a = basis0.vectors.conj().T @ eig.vectors
     p = np.abs(frame_amplitudes(a, eig.values, times, eig.vectors.conj().T @ kets)) ** 2
     p = np.swapaxes(p / p.sum(axis=1, keepdims=True), 1, 2)  # [t, ket, f]
-    cond, p_end = p[:, :3], p[:, -1]
-    cond_bar = np.zeros_like(cond)
-    cond_bar[:, has_complement] = p[:, 3:-1]
-
     if shots is not None:
         for k in range(times.size):
             rng = np.random.default_rng(None if seeds is None else seeds[k])
-            for i in range(3):
-                cond[k, i] = shot_noise_sample(cond[k, i], shots, rng)
-            for i in np.flatnonzero(has_complement):
-                cond_bar[k, i] = shot_noise_sample(cond_bar[k, i], shots, rng)
-            p_end[k] = shot_noise_sample(p_end[k], shots, rng)
-
+            p[k] = shot_noise_sample(p[k], shots, rng)
+    cond_bar = np.zeros_like(p[:, :3])
+    cond_bar[:, has_complement] = p[:, 3:-1]
     e = basis0.energies
-    return [SchemeTables(float(t), cond[k], cond_bar[k], p_end[k], p_init.copy(), e.copy(), e.copy())
-            for k, t in enumerate(times)]
+    return SchemeTables(times, p[:, :3], cond_bar, p[:, -1], p_init, e.copy(), e.copy())
 
 
 def scheme_tables(rho, t: float, params: DriveParams, shots: int | None = None,
                   seed=None) -> SchemeTables:
     """``scheme_series`` at the single time point ``t``, sampled from ``seed``."""
-    return scheme_series(rho, [t], params, shots=shots, seeds=[seed])[0]
+    return scheme_series(rho, [t], params, shots=shots, seeds=[seed]).at(0)
 
 
 def mhq_reconstruct(tables: SchemeTables) -> QuasiTable:
-    """Real quasiprobability table from the three measured schemes."""
-    z = tables.p_tpm - RECONSTRUCTION_HALF_WEIGHT * (tables.p_wtpm - tables.p_end[None, :])
+    """Real quasiprobability table from the three measured schemes, per time point."""
+    z = tables.p_tpm - RECONSTRUCTION_HALF_WEIGHT * (tables.p_wtpm - tables.p_end[..., None, :])
     return QuasiTable(
         t=tables.t, z=z, e_init=tables.e_init.copy(), e_final=tables.e_final.copy()
     )
@@ -277,7 +278,7 @@ def kdq_direct(rho, t: float, params: DriveParams) -> QuasiTable:
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"density matrix trace {tr!r} is not 1")
     u = propagator_closed(t, params).u
-    basis0 = energy_basis(0.0, params)
+    basis0 = _energy_basis0(params)
     basis_t = energy_basis(t, params)
     q = np.empty((3, 3), dtype=np.complex128)
     for f in range(3):
@@ -341,7 +342,7 @@ def run_protocol(
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme != "end" and label not in (0, 1, 2):
         raise ValueError("tpm/wtpm need label index 0, 1 or 2")
-    basis0 = energy_basis(0.0, params)
+    basis0 = _energy_basis0(params)
     xi = state_vector(spec, basis0)
     rng = np.random.default_rng(seed) if shots is not None else None
 
@@ -380,26 +381,27 @@ def _protocol_run(psi, t, params, shots, rng) -> np.ndarray:
 def shot_noise_sample(p, shots: int, seed=None) -> np.ndarray:
     """Multinomial outcome frequencies for ``shots`` repetitions.
 
-    Deterministic for a given seed (or Generator).  The returned frequencies
-    sum to 1.0 exactly.
+    ``p`` is one probability vector or an (m, k) stack of them; a stack is
+    drawn row after row from one generator, so it gives the same frequencies
+    as m one-row calls.  Deterministic for a given seed (or Generator).  Every
+    returned row sums to 1.0 exactly.
     """
     if shots < 1:
         raise InvalidDistribution(f"shots must be >= 1, got {shots}")
-    prob = np.asarray(p, dtype=float).copy()
-    if prob.ndim != 1:
-        raise InvalidDistribution(f"expected a probability vector, got shape {prob.shape}")
-    if np.any(prob < -1e-9) or abs(prob.sum() - 1.0) > 1e-6:
+    prob = np.asarray(p, dtype=float)
+    if prob.ndim not in (1, 2):
+        raise InvalidDistribution(f"expected a probability vector or a stack, got shape {prob.shape}")
+    if prob.min() < -1e-9 or np.abs(prob.sum(axis=-1) - 1.0).max() > 1e-6:
         raise InvalidDistribution(f"not a distribution: {p}")
-    prob = np.clip(prob, 0.0, None)
-    prob = prob / prob.sum()
+    prob = np.maximum(0.0, prob)  # np.clip(prob, 0.0, None), but cheaper
+    prob = prob / prob.sum(axis=-1, keepdims=True)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     freq = rng.multinomial(shots, prob) / shots
-    # pin the float sum to exactly 1.0 (division can round each entry)
-    tail = 1.0 - freq[:-1].sum()
-    if tail >= 0.0:
-        freq[-1] = tail
-    else:
-        k = int(np.argmax(freq[:-1]))
-        freq[-1] = 0.0
-        freq[k] = 1.0 - (freq.sum() - freq[k])
+    rows = np.atleast_2d(freq)  # a view: writes land in freq
+    # pin each row's float sum to exactly 1.0 (division can round each entry)
+    tail = 1.0 - rows[:, :-1].sum(axis=-1)
+    rows[:, -1] = np.maximum(tail, 0.0)
+    for r in np.flatnonzero(tail < 0.0):  # only with four or more outcomes
+        k = np.argmax(rows[r, :-1])
+        rows[r, k] = 1.0 - (rows[r].sum() - rows[r, k])
     return freq

@@ -54,10 +54,7 @@ def ref_grid_data(ref_params, ref_rho, ref_period):
     """One pass over the 400-point (0, T] grid: tables, z, q per time."""
     n = 400
     times = np.linspace(ref_period / n, ref_period, n)
-    tables = []
-    quasis = []
-    for t in times:
-        tab = schemes.scheme_tables(ref_rho, float(t), ref_params)
-        tables.append(tab)
-        quasis.append(schemes.kdq_direct(ref_rho, float(t), ref_params))
+    series = schemes.scheme_series(ref_rho, times, ref_params)
+    tables = [series.at(k) for k in range(n)]
+    quasis = [schemes.kdq_direct(ref_rho, float(t), ref_params) for t in times]
     return times, tables, quasis

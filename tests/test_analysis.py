@@ -194,6 +194,31 @@ def test_negativity_from_row_decomposition(ref_grid_data):
         assert direct == pytest.approx(via_rows, abs=1e-10)
 
 
+def test_grid_statistics_match_per_point_calls(ref_rho, ref_params, ref_period):
+    # on grid-shaped tables each statistic is bitwise its per-point value
+    from quasiwork.emitters import z_stderr_prediction
+
+    times = np.linspace(0.0, 2 * ref_period, 57)
+    series = schemes.scheme_series(ref_rho, times, ref_params, shots=1000,
+                                   seeds=[np.random.SeedSequence(3, spawn_key=(k,)) for k in range(57)])
+    grid = mhq_reconstruct(series)
+    w_mhq, w_tpm = avg_work_mhq(grid), avg_work_tpm(series)
+    aleph, se = total_negativity(grid.z), z_stderr_prediction(series, 1000)
+    assert w_mhq.shape == w_tpm.shape == aleph.shape == (57,) and se.shape == (57, 3, 3)
+    neg, s = negativity(grid), s_stat(grid.z)
+    for k in range(57):
+        tab = series.at(k)
+        table = mhq_reconstruct(tab)
+        assert np.array_equal(grid.z[k], table.z)
+        assert w_mhq[k] == avg_work_mhq(table)
+        assert w_tpm[k] == avg_work_tpm(tab)
+        assert aleph[k] == total_negativity(table.z)
+        assert neg[k] == negativity(table)
+        assert s[k] == s_stat(table.z)
+        assert np.array_equal(se[k], z_stderr_prediction(tab, 1000))
+    assert isinstance(avg_work_tpm(series.at(0)), float)
+
+
 def test_work_stats_bundle(ref_rho, ref_params, ref_period):
     # the per-point statistics of one consistent (tables, z) pair
     t = 0.5 * ref_period

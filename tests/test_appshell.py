@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -246,6 +247,32 @@ def test_cli_shots_and_seed_flags(tmp_path):
     assert main(args + ["--out", str(out1), "--seed", "1"]) == 0
     assert main(args + ["--out", str(out2), "--seed", "2"]) == 0
     assert (out1 / "fig2_series.csv").read_bytes() != (out2 / "fig2_series.csv").read_bytes()
+
+
+# sha256 of the series and tomography files at 40 points, recorded from
+# v0.5.0: the figure outputs are byte-stable across the grid-batched rewrite
+_PINNED_SHA256 = {
+    (): {
+        "fig2_series.csv": "c95ff8c0d2b15b97d084bbfea03b49038d32f80723626d0f92053851863db1fa",
+        "fig2_tomography.csv": "57fe457febcb9c9d66958722fdaff7ab128bed1667588edf8a7f2024b4a1aed4",
+        "fig3_series.csv": "264ea4358f3e082fadf059a27f6f6028ca6d8c8ff8d3ddb31c670b7ad27deb7c",
+        "fig4_series.csv": "2fc6d9440713f22eb1eecc4edea38c8a8f70e9200ed45f735d836266d4ef025e",
+    },
+    ("--shots", "1000"): {
+        "fig2_series.csv": "1ecc063c4adcfd32d98d8e98d4b10ba7559b8256b68376d6362a84fc36899c11",
+        "fig2_tomography.csv": "57fe457febcb9c9d66958722fdaff7ab128bed1667588edf8a7f2024b4a1aed4",
+        "fig3_series.csv": "16a48597266c91b2443dfb54533342e703bfe3e6be4f357317fa3cfea18986e5",
+        "fig4_series.csv": "c9b117d7699144d4d57557b3d11481f40ab60a2c3a29cc73d4c3fbd18267a987",
+    },
+}
+
+
+@pytest.mark.parametrize("extra", list(_PINNED_SHA256), ids=["exact", "shots1000"])
+def test_figure_files_match_pinned_bytes(tmp_path, extra):
+    for target in ("fig2", "fig3", "fig4"):
+        assert main([f"reproduce-{target}", "--steps", "40", *extra, "--out", str(tmp_path)]) == 0
+    for name, digest in _PINNED_SHA256[extra].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_fig2_zero_weight_state_keeps_its_conditionals(tmp_path):

@@ -129,6 +129,20 @@ def test_variant_extrema_stack_matches_single_variants(rng):
         assert np.array_equal(extrema[k], variant_extrema([p], [ket], 50)[0])
 
 
+def test_hamiltonian_stacks_match_per_variant_builds(rng, monkeypatch):
+    params, kets = _variant_stack(rng, 40)
+    params += [model.DriveParams(1.0, 2.0, 0.0, -0.0), model.DriveParams(3.0, 0.5, -0.0, 7.0)]
+    kets = np.vstack([kets, kets[:2]])
+    stacks = []
+    real = explore.herm_eig
+    monkeypatch.setattr(explore, "herm_eig", lambda h: stacks.append(h.copy()) or real(h))
+    variant_extrema(params, kets, 8)
+    h0, h_tilde = stacks
+    # bytes, so the signs of zero imaginary parts count too
+    assert h0.tobytes() == np.stack([model.hamiltonian_rot(0.0, p) for p in params]).tobytes()
+    assert h_tilde.tobytes() == np.stack([model.hamiltonian_tilde(p) for p in params]).tobytes()
+
+
 def test_sweep_determinism():
     cfg = SweepConfig(n_sets=5, n_time=64, seed=99)
     rec1, sum1 = sweep(cfg)

@@ -163,6 +163,30 @@ def test_energy_basis_projector_energies(rng):
             assert abs(np.trace(basis.projector(k) @ h).real - basis.energies[k]) <= 1e-9
 
 
+def test_energy_basis0_is_cached_and_read_only(rng, monkeypatch):
+    from quasiwork import schemes
+
+    params = random_drive(rng)
+    ket = energy_basis(0.0, params).ket(0)
+    rho = np.outer(ket, ket.conj())
+    calls = []
+    real = model.energy_basis
+    monkeypatch.setattr(model, "energy_basis", lambda t, p: calls.append(t) or real(t, p))
+    monkeypatch.setattr(schemes, "energy_basis", model.energy_basis)
+    model._energy_basis0.cache_clear()
+    for t in (0.1, 0.2, 0.3):
+        schemes.kdq_direct(rho, t, params)
+        schemes.tpm_table(rho, t, params)
+    assert calls.count(0.0) == 1  # H(0) is diagonalized once for the drive
+    basis = model._energy_basis0(DriveParams(params.omega1, params.omega2, params.phi1, params.phi2))
+    fresh = real(0.0, params)
+    assert np.array_equal(basis.vectors, fresh.vectors)
+    assert np.array_equal(basis.energies, fresh.energies)
+    for arr in (basis.energies, basis.vectors, *basis.projectors):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_equal_drive_eigenvector_residuals(rng):
     # the +- eigenvectors are (1, +-sqrt2 e^{i phi t}, 1)/2 at every instant
     omega, phi = 13.9, 15.1

@@ -67,7 +67,7 @@ def test_conditional_curves_shape(ref_params, ref_spec, ref_period):
     basis0 = energy_basis(0.0, ref_params)
     xi = model.state_vector(ref_spec, basis0)
     times = np.linspace(ref_period / 100, ref_period, 100)
-    curves = np.stack([tab.p_end for tab in scheme_series(np.outer(xi, xi.conj()), times, ref_params)])
+    curves = scheme_series(np.outer(xi, xi.conj()), times, ref_params).p_end
     assert np.ptp(curves[:, 1]) <= 1e-10  # f=0 constant
     assert np.ptp(curves[:, 0]) > 0.1  # f=+ oscillates
     assert np.ptp(curves[:, 2]) > 0.1  # f=- oscillates
@@ -181,9 +181,13 @@ def test_wtpm_matches_nonselective_oracle(rng):
 
 
 def _check_series_against_oracles(rho, params, times, tol=1e-12):
-    for t, tab in zip(times, scheme_series(rho, times, params)):
-        t = float(t)
+    series = scheme_series(rho, times, params)
+    assert np.array_equal(series.t, times)
+    z = mhq_reconstruct(series).z
+    for k, t in enumerate(times.tolist()):
+        tab = series.at(k)
         assert tab.t == t
+        assert np.array_equal(mhq_reconstruct(tab).z, z[k])
         q = kdq_direct(rho, t, params)
         assert np.max(np.abs(mhq_reconstruct(tab).z - q.q.real)) <= tol
         assert np.max(np.abs(tab.p_end - epm_table(rho, t, params))) <= tol
@@ -212,10 +216,10 @@ def test_scheme_series_drops_a_vanishing_complement(rng):
     psi = np.sqrt(1.0 - eps) * basis0.ket(0) + np.sqrt(eps) * np.exp(0.3j) * basis0.ket(1)
     rho = np.outer(psi, psi.conj())
     times = np.linspace(0.0, 0.5, 25)
-    for tab in scheme_series(rho, times, params):
-        assert 1.0 - tab.p_init[0] <= schemes.COMPLEMENT_CUTOFF
-        assert np.array_equal(tab.cond_bar[0], np.zeros(3))
-        assert np.array_equal(tab.p_wtpm[0], tab.p_tpm[0])
+    series = scheme_series(rho, times, params)
+    assert 1.0 - series.p_init[0] <= schemes.COMPLEMENT_CUTOFF
+    assert np.array_equal(series.cond_bar[:, 0], np.zeros((times.size, 3)))
+    assert np.array_equal(series.p_wtpm[:, 0], series.p_tpm[:, 0])
     _check_series_against_oracles(rho, params, times)
     with pytest.raises(DegenerateComplement):
         schemes._complement_ket(psi, 0, basis0)
@@ -225,20 +229,22 @@ def test_scheme_series_shots_match_per_point_calls(ref_rho, ref_params, ref_peri
     times = np.linspace(0.0, 2 * ref_period, 40)
     seeds = [np.random.SeedSequence(7, spawn_key=(3, k)) for k in range(times.size)]
     series = scheme_series(ref_rho, times, ref_params, shots=1000, seeds=seeds)
-    for k, tab in enumerate(series):
+    for k in range(times.size):
+        tab = series.at(k)
         one = scheme_tables(ref_rho, float(times[k]), ref_params, shots=1000, seed=seeds[k])
         for name in ("cond", "cond_bar", "p_tpm", "p_wtpm", "p_end", "p_init", "e_init", "e_final"):
             assert np.array_equal(getattr(tab, name), getattr(one, name))
+        for name in ("cond", "cond_bar", "p_tpm", "p_wtpm", "p_end"):
+            assert np.array_equal(getattr(series, name)[k], getattr(one, name))
 
 
 def test_scheme_series_sub_grid_gives_the_same_rows(ref_rho, ref_params, ref_period):
     times = np.linspace(0.0, 2 * ref_period, 101)
     full = scheme_series(ref_rho, times, ref_params)
     part = scheme_series(ref_rho, times[17:60:3], ref_params)
-    for tab, ref in zip(part, full[17:60:3]):
-        assert tab.t == ref.t
-        for name in ("cond", "cond_bar", "p_tpm", "p_wtpm", "p_end"):
-            assert np.array_equal(getattr(tab, name), getattr(ref, name))
+    assert np.array_equal(part.t, full.t[17:60:3])
+    for name in ("cond", "cond_bar", "p_tpm", "p_wtpm", "p_end"):
+        assert np.array_equal(getattr(part, name), getattr(full, name)[17:60:3])
 
 
 def test_tpm_epm_accept_mixed_states(rng):
@@ -451,6 +457,39 @@ def test_shot_noise_invalid():
         shot_noise_sample([0.9, 0.2, -0.1], 100, seed=0)
     with pytest.raises(InvalidDistribution):
         shot_noise_sample([0.5, 0.3, 0.2], 0, seed=0)
+
+
+def test_shot_noise_stack_matches_sequential_rows():
+    # an (m, k) stack is drawn row after row from the one generator: bitwise
+    # the frequencies of m one-row calls, and the generator ends in the same state
+    rng = np.random.default_rng(11)
+    random_rows = rng.dirichlet([1, 1, 1], size=12)
+    zero_rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.3, 0.7], [0.5, 0.5, 0.0]])
+    # with three outcomes the leading frequencies never sum above 1; with
+    # four at 100 shots, counts such as (33, 56, 11, 0) do, and re-pin
+    repin = np.tile([0.335, 0.555, 0.11, 0.0], (400, 1))
+    cases = [(random_rows, 1000), (np.vstack([random_rows, zero_rows]), 10**6),
+             (zero_rows, 1), (random_rows, 1), (repin, 100)]
+    for rows, shots in cases:
+        stacked, sequential = np.random.default_rng(5), np.random.default_rng(5)
+        got = shot_noise_sample(rows, shots, stacked)
+        want = np.stack([shot_noise_sample(row, shots, sequential) for row in rows])
+        assert got.shape == rows.shape
+        assert got.tobytes() == want.tobytes()
+        assert stacked.random() == sequential.random()
+        assert np.all(got >= 0.0)
+    counts = np.random.default_rng(5).multinomial(100, repin / repin.sum(axis=1, keepdims=True))
+    over = 1.0 - (counts[:, :-1] / 100).sum(axis=1) < 0.0
+    assert over.any()  # the re-pin branch was taken
+    got = shot_noise_sample(repin, 100, np.random.default_rng(5))
+    assert np.array_equal(got[over, -1], np.zeros(over.sum()))
+    assert np.array_equal(got[~over, :-1], counts[~over, :-1] / 100)
+    assert not np.array_equal(got[over, :-1], counts[over, :-1] / 100)
+    bad = np.vstack([random_rows[:3], [0.5, 0.6, 0.2], random_rows[3:]])
+    with pytest.raises(InvalidDistribution):
+        shot_noise_sample(bad, 100, np.random.default_rng(0))
+    with pytest.raises(InvalidDistribution):
+        shot_noise_sample(np.ones((2, 2, 3)) / 3.0, 100, np.random.default_rng(0))
 
 
 def test_noisy_tables_keep_exact_row_marginals(ref_rho, ref_params):
