@@ -13,8 +13,9 @@ repeats, and the best, median and worst seconds per call.  The layers:
 * ``propagator_stepped`` at ``STEPS`` steps over one characteristic period;
 * ``scheme_series`` on the figures' 400-point grid, exact and with
   ``SHOTS`` shots per row (fig2's per-point seeds);
-* ``variant_extrema`` on the sweep's first chunk of ``explore._CHUNK``
-  variants;
+* ``variant_extrema`` on a fixed ``STACK``-variant stack: the sweep's first
+  ``STACK // 3`` sets with their twins, whatever ``explore._CHUNK`` is;
+* the in-process ``sweep(SweepConfig())`` (1,000 sets, serial, no writing);
 * the CSV writer on fig2's 400-point series and the JSON writer on its
   metadata.
 
@@ -51,16 +52,17 @@ def timing(fn) -> dict:
             "number": number, "repeats": REPEATS}
 
 
-def sweep_chunk() -> tuple[list, list]:
+def sweep_stack() -> tuple[list, list]:
+    """The sweep's first STACK // 3 sets, each with its two twins: STACK variants."""
     cfg = explore.SweepConfig()
     params, kets = [], []
-    for i in range(explore._CHUNK // 3 + 1):
+    for i in range(STACK // 3):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
         drawn = explore.random_params(rng, cfg)
         ket, _ = explore._draw_state(rng)
         params += [drawn, *explore._twin_variants(drawn)]
         kets += [ket] * 3
-    return params[: explore._CHUNK], kets[: explore._CHUNK]
+    return params, kets
 
 
 def main() -> int:
@@ -74,7 +76,7 @@ def main() -> int:
     stack = x + x.conj().swapaxes(-1, -2)
     h0 = model.hamiltonian_rot(0.0, p)
     period = explore.time_window(p)
-    chunk_params, chunk_kets = sweep_chunk()
+    stack_params, stack_kets = sweep_stack()
     series = emitters._fig2_series(cfg, times)
     meta = emitters._metadata(cfg, "fig2", times, {"series": sorted(name for name, _, _ in series)})
 
@@ -88,8 +90,9 @@ def main() -> int:
         "scheme_series_400_exact": timing(lambda: schemes.scheme_series(rho, times, p)),
         "scheme_series_400_shots": timing(
             lambda: schemes.scheme_series(rho, times, p, shots=SHOTS, seeds=seeds)),
-        f"variant_extrema_chunk{explore._CHUNK}": timing(
-            lambda: explore.variant_extrema(chunk_params, chunk_kets, explore.SweepConfig().n_time)),
+        f"variant_extrema_stack{STACK}": timing(
+            lambda: explore.variant_extrema(stack_params, stack_kets, explore.SweepConfig().n_time)),
+        "sweep_1000_in_process": timing(lambda: explore.sweep(explore.SweepConfig())),
     }
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as scratch:
         out["write_fig2_series_csv"] = timing(

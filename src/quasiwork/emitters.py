@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import NEGATIVITY_BOUND, _per_table_sum, avg_work_mhq, avg_work_tpm, total_negativity
 from .config import RunConfig
-from .explore import SweepRecord, SweepSummary, time_window
+from .explore import SweepRecord, SweepSummary, VariantResult, time_window
 from .model import ENERGY_LABELS, DriveParams, _amplitude_gauge, _energy_basis0, initial_state
 from .schemes import SchemeTables, mhq_reconstruct, scheme_series
 
@@ -219,38 +219,30 @@ def emit_figure(config: RunConfig, target: str) -> list[Path]:
     return written
 
 
+_SWEEP_FIELDS = (
+    "set", "variant", "omega1", "omega2", "phi1", "phi2", "equal_ramps",
+    "state_a", "state_b", "state_phi_a", "state_phi_b", "window_end_us", "omega_eff",
+    "min_req", "min_w_rad_per_us", "min_w_over_omega", "max_aleph",
+)
+
+
+def _sweep_row(rec: SweepRecord, v: VariantResult) -> tuple:
+    """One archive row, in ``_SWEEP_FIELDS`` order."""
+    p, om = v.params, omega_eff(v.params)
+    return (rec.index, v.kind, p.omega1, p.omega2, p.phi1, p.phi2, int(p.equal_phases),
+            *rec.state_draw, v.window_end, om, v.min_req, v.min_w, v.min_w / om, v.max_aleph)
+
+
 def emit_sweep(config: RunConfig, records: list[SweepRecord], summary: SweepSummary) -> list[Path]:
     """Write the sweep archive: one CSV row per (set, variant) plus a summary."""
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for rec in records:
-        a, b, phi_a, phi_b = rec.state_draw
-        for v in rec.variants:
-            om = omega_eff(v.params)
-            rows.append(
-                {
-                    "set": rec.index,
-                    "variant": v.kind,
-                    "omega1": v.params.omega1,
-                    "omega2": v.params.omega2,
-                    "phi1": v.params.phi1,
-                    "phi2": v.params.phi2,
-                    "equal_ramps": int(v.params.equal_phases),
-                    "state_a": a,
-                    "state_b": b,
-                    "state_phi_a": phi_a,
-                    "state_phi_b": phi_b,
-                    "window_end_us": v.window_end,
-                    "omega_eff": om,
-                    "min_req": v.min_req,
-                    "min_w_rad_per_us": v.min_w,
-                    "min_w_over_omega": v.min_w / om,
-                    "max_aleph": v.max_aleph,
-                }
-            )
     records_path = out / "sweep_records.csv"
-    _write_dict_rows(records_path, rows, list(rows[0].keys()) if rows else [])
+    with records_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)  # writes a float as str(), which equals its repr()
+        writer.writerow(_SWEEP_FIELDS)
+        for rec in records:
+            writer.writerows(_sweep_row(rec, v) for v in rec.variants)
 
     summary_doc = {
         "generator": f"quasiwork {__version__}",
@@ -279,16 +271,9 @@ def _write_series(path: Path, times: np.ndarray, series: list[Series]) -> None:
 
 def _write_dict_rows(path: Path, rows: list[dict], fields: list[str]) -> None:
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # writes a float as str(), which equals its repr()
         writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_cell(row[k]) for k in fields])
-
-
-def _cell(val) -> str:
-    if isinstance(val, float):
-        return repr(val)
-    return str(val)
+        writer.writerows([row[k] for k in fields] for row in rows)
 
 
 def _write_json(path: Path, obj: dict) -> None:

@@ -17,8 +17,21 @@ chunk size.
 The per-variant evaluation avoids the measurement pipeline.  With psi the
 state in t=0 energy coordinates and m(t) = a e^{-itL} a^dag the amplitude
 kernel of the ``schemes`` docstring, the state is pure, so
-q[t, i, f] = conj(m[t, f, i]) (m psi)[t, f] conj(psi[i]) over the whole grid,
-validated against the kdq_direct oracle in the tests.
+q[t, i, f] = conj(m[t, f, i]) (m psi)[t, f] conj(psi[i]).  Three identities
+make the whole grid a real product and a few elementwise passes:
+
+* folded psi: with mt[t, f, i] = m[t, f, i] psi[i], q[t, i, f] =
+  conj(mt[t, f, i]) (m psi)[t, f] and (m psi)[t, f] = sum_i mt[t, f, i], so the
+  real and imaginary planes of mt are one real matmul of per-variant
+  coefficients with cos(t L_k) and sin(t L_k);
+* marginal work: summed over i, q gives the END row |(m psi)[t, f]|^2, and
+  summed over f, |psi[i]|^2 (m is unitary), so <W>(t) = sum_{i,f} Re q
+  (E_f - E_i) = sum_f E_f |(m psi)[t, f]|^2 - sum_i E_i |psi[i]|^2;
+* factorised |q|: |q[t, i, f]| = |mt[t, f, i]| |(m psi)[t, f]|.
+
+The time grid is uniform, so its phases come from the angle sums over blocks
+of grid points (``_grid_amplitudes``).  The tests check every extremum
+against the kdq_direct oracle.
 """
 
 from __future__ import annotations
@@ -49,8 +62,12 @@ MHZ_TO_ANGULAR = 2.0 * math.pi  # ordinary MHz -> rad/us
 VARIANT_KINDS = ("original", "twin_ramp1", "twin_ramp2")
 
 # Variants per batched evaluation.  Larger chunks run little faster and raise
-# the sweep's peak memory (a chunk holds several (chunk, n_time, 3, 3) arrays).
+# the sweep's peak memory (a chunk holds a (chunk, 18, n_time) amplitude
+# array and a (chunk, 3, 3, n_time) table).
 _CHUNK = 32
+
+# Grid points per block of the angle-sum phase grid (see _grid_amplitudes).
+_BLOCK = 16
 
 
 class SweepSetFailed(ValueError):
@@ -186,7 +203,7 @@ def variant_extrema(params_seq, kets, n_time: int) -> np.ndarray:
 
     ``params_seq`` holds n DriveParams and ``kets`` the n pure states, shape
     (n, 3).  Row k is (window_end, min_req, min_w, max_aleph) of variant k;
-    see the module docstring for the identity used.
+    see the module docstring for the identities used.
     """
     kets = np.asarray(kets, dtype=np.complex128)
     t_end = np.array([time_window(p) for p in params_seq])
@@ -201,24 +218,60 @@ def variant_extrema(params_seq, kets, n_time: int) -> np.ndarray:
     a = v.conj().swapaxes(-1, -2) @ eig_g.vectors
     a_t = a.swapaxes(-1, -2)  # a_t[k, f] = a[f, k]
     psi = (v.conj().swapaxes(-1, -2) @ kets[..., None])[..., 0]
-    a_psi = (a_t.conj() @ psi[..., None])[..., 0]
     n = len(kets)
 
-    # m[t, f, i] = sum_k e^{-it L_k} a[f, k] conj(a[i, k]) and
-    # (m psi)[t, f] = sum_k e^{-it L_k} a[f, k] (a^dag psi)[k]: one product
-    coeffs = np.concatenate([(a_t[:, :, :, None] * a_t.conj()[:, :, None, :]).reshape(n, 3, 9),
-                             a_t * a_psi[..., None]], axis=-1)
-    times = t_end[:, None] * np.arange(1, n_time + 1) / n_time
-    phases = np.exp(-1j * (times[..., None] * eig_g.values[:, None, :]))
-    amp = phases @ coeffs
-    m = amp[..., :9].reshape(n, n_time, 3, 3)
-    q = m.conj() * amp[..., 9:, None] * psi.conj()[:, None, None, :]  # q[t, f, i]
+    # mt[t, f, i] = m[t, f, i] psi_i = sum_k e^{-it L_k} c[k, f, i], so with
+    # e^{-itL} = cos - i sin its real planes are cos Re c + sin Im c and its
+    # imaginary planes cos Im c - sin Re c: a real (18, 6) map per variant.
+    coeffs = (a_t[..., None] * (a_t.conj() * psi[:, None, :])[:, :, None, :]).reshape(n, 3, 9)
+    real_map = np.empty((n, 18, 6))
+    real_map[:, :9, :3] = real_map[:, 9:, 3:] = coeffs.real.swapaxes(-1, -2)
+    real_map[:, 9:, :3] = real_map[:, :9, 3:] = coeffs.imag.swapaxes(-1, -2)
+    real_map[:, 9:, 3:] *= -1.0
+    amp = _grid_amplitudes(real_map, eig_g.values * (t_end / n_time)[:, None], n_time)
 
-    z = q.real.reshape(n, n_time, 9)
-    dw = (energies[:, :, None] - energies[:, None, :]).reshape(n, 9, 1)  # E_f - E_i
-    work = (z @ dw)[..., 0]
-    aleph = np.abs(q).sum(axis=(-2, -1)) - 1.0
-    return np.stack([t_end, z.min(axis=(1, 2)), work.min(axis=1), aleph.max(axis=1)], axis=1)
+    re_mt, im_mt = amp[:, :9].reshape(n, 3, 3, n_time), amp[:, 9:].reshape(n, 3, 3, n_time)
+    re_mp, im_mp = re_mt.sum(axis=2), im_mt.sum(axis=2)  # (m psi)[t, f] = sum_i mt[t, f, i]
+    z = re_mt * re_mp[:, :, None]  # z[f, i, t] = Re q[t, i, f]
+    z += im_mt * im_mp[:, :, None]
+
+    pop = re_mp * re_mp
+    pop += im_mp * im_mp  # the END row |(m psi)[t, f]|^2
+    work = (energies[:, None, :] @ pop)[:, 0]
+    work_init = (energies * (psi.real**2 + psi.imag**2)).sum(axis=-1)
+
+    re_mt *= re_mt  # in place: amp is not read again
+    im_mt *= im_mt
+    re_mt += im_mt
+    abs_q = np.sqrt(re_mt, out=re_mt).sum(axis=2)
+    abs_q *= np.sqrt(pop, out=pop)  # sum_i |q[t, i, f]|
+    return np.stack([t_end, z.min(axis=(1, 2, 3)), work.min(axis=1) - work_init,
+                     abs_q.sum(axis=1).max(axis=1) - 1.0], axis=1)
+
+
+def _grid_amplitudes(real_map: np.ndarray, theta: np.ndarray, n_time: int) -> np.ndarray:
+    """``real_map @ [cos; sin](theta s)`` on the grid s = 1..n_time: (n, rows, n_time).
+
+    ``real_map`` is (n, rows, 6) over the columns cos(theta_k s), then
+    sin(theta_k s), and ``theta`` is (n, 3).  With s = _BLOCK j + r, the angle
+    sums turn (cos, sin)(theta_k s) into the rotation by theta_k _BLOCK j of
+    (cos, sin)(theta_k r).  One product folds the rotations of all blocks j
+    into the map, a second applies the offsets r: per theta_k that takes
+    n_time // _BLOCK + 1 + _BLOCK angles (29 at n_time = 200), not n_time.
+    """
+    n, rows, _ = real_map.shape
+    n_blocks = n_time // _BLOCK + 1
+    block = theta[..., None] * (_BLOCK * np.arange(n_blocks))
+    offset = theta[..., None] * np.arange(_BLOCK)
+    cb, sb = np.cos(block).swapaxes(0, 1), np.sin(block).swapaxes(0, 1)  # (3, n, n_blocks)
+    k = np.arange(3)
+    rot = np.zeros((n, 6, n_blocks, 6))  # rot[:, :, j]: the rotations of block j
+    rot[:, k, :, k] = rot[:, k + 3, :, k + 3] = cb
+    rot[:, k + 3, :, k] = sb
+    rot[:, k, :, k + 3] = -sb
+    per_block = (real_map @ rot.reshape(n, 6, -1)).reshape(n, rows * n_blocks, 6)
+    amp = per_block @ np.concatenate([np.cos(offset), np.sin(offset)], axis=1)
+    return amp.reshape(n, rows, -1)[..., 1 : n_time + 1]
 
 
 def _twin_variants(params: DriveParams) -> tuple[DriveParams, DriveParams]:

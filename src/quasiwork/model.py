@@ -25,6 +25,7 @@ frame change makes the generator time independent:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -83,7 +84,7 @@ class DriveParams:
 
     def __post_init__(self):
         vals = (self.omega1, self.omega2, self.phi1, self.phi2)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):  # TypeError for a non-number
             raise ValueError(f"drive parameters must be finite, got {vals}")
         if self.omega1 <= 0 or self.omega2 <= 0:
             raise ValueError("drive amplitudes omega1, omega2 must be positive")

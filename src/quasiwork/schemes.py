@@ -391,7 +391,8 @@ def shot_noise_sample(p, shots: int, seed=None) -> np.ndarray:
     prob = np.asarray(p, dtype=float)
     if prob.ndim not in (1, 2):
         raise InvalidDistribution(f"expected a probability vector or a stack, got shape {prob.shape}")
-    if prob.min() < -1e-9 or np.abs(prob.sum(axis=-1) - 1.0).max() > 1e-6:
+    # negated comparisons, so a NaN anywhere fails the check too
+    if not (prob.min() >= -1e-9 and np.abs(prob.sum(axis=-1) - 1.0).max() <= 1e-6):
         raise InvalidDistribution(f"not a distribution: {p}")
     prob = np.maximum(0.0, prob)  # np.clip(prob, 0.0, None), but cheaper
     prob = prob / prob.sum(axis=-1, keepdims=True)

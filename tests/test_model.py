@@ -59,6 +59,14 @@ def test_drive_params_validation():
         DriveParams(omega1=1.0, omega2=-2.0, phi1=0.0, phi2=0.0)
     with pytest.raises(ValueError):
         DriveParams(omega1=np.inf, omega2=1.0, phi1=0.0, phi2=0.0)
+    with pytest.raises(ValueError, match="drive parameters must be finite"):
+        DriveParams(omega1=1.0, omega2=1.0, phi1=float("nan"), phi2=0.0)
+    with pytest.raises(ValueError, match="drive parameters must be finite"):
+        DriveParams(omega1=1.0, omega2=1.0, phi1=0.0, phi2=np.float64(-np.inf))
+    with pytest.raises(TypeError):
+        DriveParams(omega1=1.0, omega2="2.0", phi1=0.0, phi2=0.0)
+    with pytest.raises(TypeError):
+        DriveParams(omega1=1.0, omega2=1.0, phi1=None, phi2=0.0)
 
 
 def test_hamiltonian_rot_t0_equal_drive():

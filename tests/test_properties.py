@@ -1,4 +1,4 @@
-"""Property tests of the scheme rows and the oracle over extreme drives and states.
+"""Property tests of the scheme rows, the sweep kernel and the oracle at extreme drives and states.
 
 Drives span omega from 1e-3 to 1e3 rad/us with ramp-to-amplitude ratios up to
 1e3, times reach ten characteristic periods for the measured rows and a
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiwork.analysis import NEGATIVITY_BOUND
-from quasiwork.explore import time_window
+from quasiwork.explore import _twin_variants, time_window, variant_extrema
 from quasiwork.model import DriveParams, energy_basis, hamiltonian_rot
 from quasiwork.propagate import propagator_closed
 from quasiwork.qmath import unitarity_defect
@@ -32,7 +32,7 @@ def drives(draw):
 
 
 @st.composite
-def pure_states(draw, params):
+def pure_kets(draw, params):
     """A random ket, or one with 1 - p_i = eps for eps in [0, 1e-8]."""
     parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
     v = np.array(parts[:3]) + 1j * np.array(parts[3:])
@@ -48,6 +48,13 @@ def pure_states(draw, params):
             rest = basis0.ket((i + 1) % 3)
         rest /= np.linalg.norm(rest)
         v = np.sqrt(1.0 - eps) * basis0.ket(i) + np.sqrt(eps) * rest
+    return v
+
+
+@st.composite
+def pure_states(draw, params):
+    """The density matrix of a ``pure_kets`` draw."""
+    v = draw(pure_kets(params))
     return np.outer(v, v.conj())
 
 
@@ -92,3 +99,35 @@ def test_oracle_invariants_over_long_times(case):
     exact -= np.trace(rho @ hamiltonian_rot(0.0, params)).real
     assert abs(work - exact) <= 1e-12 * np.max(np.abs(q.e_init))
     assert unitarity_defect(u) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sweep_kernel_matches_the_oracle_at_extreme_drives(data):
+    # each drive with its equal-ramp twins and the twins at ramp +-0.0, scored
+    # on one stack; every extremum against kdq_direct on the same grid
+    drawn = data.draw(drives())
+    w1, w2 = drawn.omega1, drawn.omega2
+    variants = [drawn, *_twin_variants(drawn), DriveParams(w1, w2, 0.0, 0.0),
+                DriveParams(w1, w2, -0.0, -0.0)]
+    ket = data.draw(pure_kets(drawn))
+    rho = np.outer(ket, ket.conj())
+    n_time = 20  # past one block of the kernel's angle-sum phase grid
+    extrema = variant_extrema(variants, [ket] * len(variants), n_time)
+    for p, (t_end, min_req, min_w, max_aleph) in zip(variants, extrema):
+        scale = max(p.omega1, p.omega2, abs(p.phi1), abs(p.phi2), 1.0)
+        p_init = np.abs(energy_basis(0.0, p).vectors.conj().T @ ket) ** 2
+        z_min, w_min, aleph_max = np.inf, np.inf, -np.inf
+        for k in range(1, n_time + 1):
+            t = t_end * k / n_time
+            q = kdq_direct(rho, t, p)
+            work = float((q.z * (q.e_final[None, :] - q.e_init[:, None])).sum())
+            if k % 5 == 0:  # the marginal form the kernel uses: END row and initial populations
+                u = propagator_closed(t, p).u
+                p_end = np.abs(energy_basis(t, p).vectors.conj().T @ u @ ket) ** 2
+                assert abs(q.e_final @ p_end - q.e_init @ p_init - work) <= 1e-12 * scale
+            z_min, w_min = min(z_min, float(q.z.min())), min(w_min, work)
+            aleph_max = max(aleph_max, float(np.abs(q.q).sum()) - 1.0)
+        assert abs(min_req - z_min) <= 1e-9
+        assert abs(min_w - w_min) <= 1e-9 * scale
+        assert abs(max_aleph - aleph_max) <= 1e-9

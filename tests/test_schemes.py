@@ -490,6 +490,15 @@ def test_shot_noise_stack_matches_sequential_rows():
         shot_noise_sample(bad, 100, np.random.default_rng(0))
     with pytest.raises(InvalidDistribution):
         shot_noise_sample(np.ones((2, 2, 3)) / 3.0, 100, np.random.default_rng(0))
+    # non-finite rows, alone or as the one bad row of a stack, are not distributions
+    nan, inf = float("nan"), float("inf")
+    for row in ([nan, 0.5, 0.5], [nan, nan, nan], [inf, 0.5, 0.5], [inf, -inf, 1.0], [1.0, 0.0, nan]):
+        for shots in (1, 100):
+            with pytest.raises(InvalidDistribution):
+                shot_noise_sample(row, shots, np.random.default_rng(0))
+        with pytest.raises(InvalidDistribution):
+            shot_noise_sample(np.vstack([random_rows[:5], row, random_rows[5:]]), 100,
+                              np.random.default_rng(0))
 
 
 def test_noisy_tables_keep_exact_row_marginals(ref_rho, ref_params):
