@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -273,6 +274,40 @@ def test_figure_files_match_pinned_bytes(tmp_path, extra):
         assert main([f"reproduce-{target}", "--steps", "40", *extra, "--out", str(tmp_path)]) == 0
     for name, digest in _PINNED_SHA256[extra].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# The sweep archive of 30 sets at n_time 200 and the default seed, recorded
+# from v0.7.0.  Only the v0.7.0 columns and summary keys are hashed, read back
+# from the files, so later columns and keys leave the pin alone; the summary
+# leaves out "generator", which names the version.
+_SWEEP_PIN_COLUMNS = (
+    "set", "variant", "omega1", "omega2", "phi1", "phi2", "equal_ramps",
+    "state_a", "state_b", "state_phi_a", "state_phi_b", "window_end_us", "omega_eff",
+    "min_req", "min_w_rad_per_us", "min_w_over_omega", "max_aleph",
+)
+_SWEEP_PIN_KEYS = (
+    "angular_convention", "bound_violations", "fraction_aleph_positive", "global_max_aleph",
+    "global_max_aleph_equal_ramps", "global_max_aleph_kind", "lowest_decile_twin_fraction",
+    "median_min_w_original", "median_min_w_twins", "n_sets", "n_skipped", "n_time",
+    "negativity_bound", "omega_interval_mhz", "ramp_factor", "seed",
+)
+_SWEEP_PIN_SHA256 = {
+    "sweep_records.csv": "c14ff1607443fcd7ed2469e47ab346f2e5275cdf09d752e28e7d1c69e0a2a2a7",
+    "sweep_summary.json": "fbdc4f3c6c554dfcd356d0416a25d16803bac45c52ed5ff74c9906d5ed53cfcd",
+}
+
+
+def test_sweep_archive_matches_pinned_bytes(tmp_path):
+    cfg = _write(tmp_path, "sweep: {n_sets: 30, n_time: 200}\nseed: 20260810\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    with (tmp_path / "o" / "sweep_records.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 90
+    records = "".join(",".join(row[k] for k in _SWEEP_PIN_COLUMNS) + "\n" for row in rows)
+    summary = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())
+    summary = json.dumps({k: summary[k] for k in _SWEEP_PIN_KEYS}, sort_keys=True)
+    for name, text in (("sweep_records.csv", records), ("sweep_summary.json", summary)):
+        assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_PIN_SHA256[name], name
 
 
 def test_fig2_zero_weight_state_keeps_its_conditionals(tmp_path):
