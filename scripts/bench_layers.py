@@ -15,7 +15,8 @@ repeats, and the best, median and worst seconds per call.  The layers:
   ``SHOTS`` shots per row (fig2's per-point seeds);
 * ``variant_extrema`` on a fixed ``STACK``-variant stack: the sweep's first
   ``STACK // 3`` sets with their twins, whatever ``explore._CHUNK`` is;
-* the in-process ``sweep(SweepConfig())`` (1,000 sets, serial, no writing);
+* the in-process ``sweep(SweepConfig())`` (1,000 sets, serial, no writing),
+  and ``emit_sweep`` writing that sweep's archive;
 * the CSV writer on fig2's 400-point series and the JSON writer on its
   metadata.
 
@@ -52,17 +53,10 @@ def timing(fn) -> dict:
             "number": number, "repeats": REPEATS}
 
 
-def sweep_stack() -> tuple[list, list]:
+def sweep_stack() -> tuple[np.ndarray, np.ndarray]:
     """The sweep's first STACK // 3 sets, each with its two twins: STACK variants."""
-    cfg = explore.SweepConfig()
-    params, kets = [], []
-    for i in range(STACK // 3):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        drawn = explore.random_params(rng, cfg)
-        ket, _ = explore._draw_state(rng)
-        params += [drawn, *explore._twin_variants(drawn)]
-        kets += [ket] * 3
-    return params, kets
+    drives, _, kets = explore._draw_sets(explore.SweepConfig())
+    return drives[: STACK // 3].reshape(-1, 4), np.repeat(kets[: STACK // 3], 3, axis=0)
 
 
 def main() -> int:
@@ -76,7 +70,8 @@ def main() -> int:
     stack = x + x.conj().swapaxes(-1, -2)
     h0 = model.hamiltonian_rot(0.0, p)
     period = explore.time_window(p)
-    stack_params, stack_kets = sweep_stack()
+    stack_drives, stack_kets = sweep_stack()
+    sweep_result, sweep_summary = explore.sweep(explore.SweepConfig())
     series = emitters._fig2_series(cfg, times)
     meta = emitters._metadata(cfg, "fig2", times, {"series": sorted(name for name, _, _ in series)})
 
@@ -91,13 +86,15 @@ def main() -> int:
         "scheme_series_400_shots": timing(
             lambda: schemes.scheme_series(rho, times, p, shots=SHOTS, seeds=seeds)),
         f"variant_extrema_stack{STACK}": timing(
-            lambda: explore.variant_extrema(stack_params, stack_kets, explore.SweepConfig().n_time)),
+            lambda: explore.variant_extrema(stack_drives, stack_kets, explore.SweepConfig().n_time)),
         "sweep_1000_in_process": timing(lambda: explore.sweep(explore.SweepConfig())),
     }
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as scratch:
         out["write_fig2_series_csv"] = timing(
             lambda: emitters._write_series(Path(scratch) / "s.csv", times, series))
         out["write_fig2_meta_json"] = timing(lambda: emitters._write_json(Path(scratch) / "m.json", meta))
+        sweep_cfg = default_config(out_dir=Path(scratch) / "sweep")
+        out["emit_sweep_1000"] = timing(lambda: emitters.emit_sweep(sweep_cfg, sweep_result, sweep_summary))
     print(json.dumps(out))
     return 0
 

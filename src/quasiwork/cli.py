@@ -75,11 +75,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         try:
-            records, summary = run_sweep(config.sweep)
+            result, summary = run_sweep(config.sweep)
         except SweepSetFailed as exc:
             print(f"sweep error: {exc}", file=sys.stderr)
             return 1
-        paths = emit_sweep(config, records, summary)
+        paths = emit_sweep(config, result, summary)
         print(
             f"sweep: {summary.n_sets} sets, "
             f"max aleph {summary.global_max_aleph:.4f} ({summary.global_max_aleph_kind})"

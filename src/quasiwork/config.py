@@ -189,7 +189,7 @@ def _build_config(data: dict, overrides: dict) -> RunConfig:
             ramp_factor=float(sweep_map.get("ramp_factor", 2.0)),
             angular_convention=bool(sweep_map.get("angular_convention", True)),
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"sweep: {exc}") from exc
 
     return RunConfig(

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .analysis import NEGATIVITY_BOUND, _per_table_sum, avg_work_mhq, avg_work_tpm, total_negativity
 from .config import RunConfig
-from .explore import SweepRecord, SweepSummary, VariantResult, time_window
-from .model import ENERGY_LABELS, DriveParams, _amplitude_gauge, _energy_basis0, initial_state
+from .explore import VARIANT_KINDS, SweepResult, SweepSummary, time_window
+from .model import ENERGY_LABELS, _amplitude_gauge, _energy_basis0, initial_state
 from .schemes import SchemeTables, mhq_reconstruct, scheme_series
 
 __all__ = [
@@ -51,9 +51,12 @@ def figure_times(config: RunConfig) -> np.ndarray:
     return np.linspace(config.grid_start, end, config.grid_points)
 
 
-def omega_eff(params: DriveParams) -> float:
-    """Ladder spacing sqrt((omega1^2 + omega2^2)/2) that normalizes every work value."""
-    return math.sqrt(0.5 * (params.omega1**2 + params.omega2**2))
+def omega_eff(omega1: float, omega2: float) -> float:
+    """Ladder spacing sqrt((omega1^2 + omega2^2)/2) that normalizes every work value.
+
+    Python floats only: their ``x**2`` is libm pow, at times an ulp off numpy's x*x.
+    """
+    return math.sqrt(0.5 * (omega1**2 + omega2**2))
 
 
 def _tables(config: RunConfig, fig_tag: str, times: np.ndarray) -> SchemeTables:
@@ -123,7 +126,7 @@ def _fig3_series(config: RunConfig, times: np.ndarray) -> list[Series]:
 
 def _fig4_series(config: RunConfig, times: np.ndarray) -> list[Series]:
     shots = config.shots
-    om = omega_eff(config.params)
+    om = omega_eff(config.params.omega1, config.params.omega2)
     tab = _tables(config, "fig4", times)
     w = avg_work_mhq(mhq_reconstruct(tab))
     w_tpm = avg_work_tpm(tab)
@@ -172,7 +175,7 @@ def _metadata(config: RunConfig, target: str, times: np.ndarray, extra: dict) ->
         "state_weights_sum": config.state.raw_weight_sum,
         "state_weights_normalized": config.state.normalized_weights.tolist(),
         "state_phases_rad": list(config.state.phases),
-        "omega_eff_rad_per_us": omega_eff(p),
+        "omega_eff_rad_per_us": omega_eff(p.omega1, p.omega2),
         "window_period_us": time_window(p),
         "grid": {"start": float(times[0]), "end": float(times[-1]), "points": len(times)},
         "shots": config.shots,
@@ -226,14 +229,17 @@ _SWEEP_FIELDS = (
 )
 
 
-def _sweep_row(rec: SweepRecord, v: VariantResult) -> tuple:
-    """One archive row, in ``_SWEEP_FIELDS`` order."""
-    p, om = v.params, omega_eff(v.params)
-    return (rec.index, v.kind, p.omega1, p.omega2, p.phi1, p.phi2, int(p.equal_phases),
-            *rec.state_draw, v.window_end, om, v.min_req, v.min_w, v.min_w / om, v.max_aleph)
+def _sweep_rows(result: SweepResult):
+    """The archive rows in ``_SWEEP_FIELDS`` order, from ``.tolist()`` columns."""
+    draws = result.draws.tolist()
+    variants = zip(result.drives.reshape(-1, 4).tolist(), result.extrema.reshape(-1, 4).tolist())
+    for k, ((w1, w2, f1, f2), (window_end, min_req, min_w, max_aleph)) in enumerate(variants):
+        om = omega_eff(w1, w2)
+        yield (k // 3, VARIANT_KINDS[k % 3], w1, w2, f1, f2, int(f1 == f2), *draws[k // 3],
+               window_end, om, min_req, min_w, min_w / om, max_aleph)
 
 
-def emit_sweep(config: RunConfig, records: list[SweepRecord], summary: SweepSummary) -> list[Path]:
+def emit_sweep(config: RunConfig, result: SweepResult, summary: SweepSummary) -> list[Path]:
     """Write the sweep archive: one CSV row per (set, variant) plus a summary."""
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -241,8 +247,7 @@ def emit_sweep(config: RunConfig, records: list[SweepRecord], summary: SweepSumm
     with records_path.open("w", newline="") as fh:
         writer = csv.writer(fh)  # writes a float as str(), which equals its repr()
         writer.writerow(_SWEEP_FIELDS)
-        for rec in records:
-            writer.writerows(_sweep_row(rec, v) for v in rec.variants)
+        writer.writerows(_sweep_rows(result))
 
     summary_doc = {
         "generator": f"quasiwork {__version__}",

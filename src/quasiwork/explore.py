@@ -9,10 +9,15 @@ ramp rate.  Scored quantities per variant:
 * min over time of the average work (sign included, so "most extraction"),
 * max over time of the non-classicality -1 + sum |q[i][f]| (complex modulus).
 
-Per-set substreams (SeedSequence spawn keys) make the draws deterministic and
-order-independent.  The sweep draws every set first, then scores the variants
-in fixed-size chunks of one batched evaluation; records are identical for any
-chunk size.
+Set i takes 8 doubles u from its own substream SeedSequence(seed,
+spawn_key=(i,)), for omega1, phi1, omega2, phi2, a, b, phi_a, phi_b in that
+order, and maps each onto its box [lo, hi) as lo + (hi - lo) u, which is how
+Generator.uniform maps one double.  So the sets are deterministic and
+order-independent, and ``random_params`` and ``random_pure_state`` (4 doubles
+each) draw the same values from the same stream.  From the draw to the
+summary the sweep holds its sets as arrays (``SweepResult``); it scores the
+variants in fixed-size chunks of one batched evaluation, and the results are
+identical for any chunk size.
 
 The per-variant evaluation avoids the measurement pipeline.  With psi the
 state in t=0 energy coordinates and m(t) = a e^{-itL} a^dag the amplitude
@@ -46,8 +51,7 @@ from .qmath import herm_eig
 
 __all__ = [
     "SweepConfig",
-    "VariantResult",
-    "SweepRecord",
+    "SweepResult",
     "SweepSummary",
     "random_pure_state",
     "random_params",
@@ -98,38 +102,24 @@ class SweepConfig:
         if self.n_time < 2:
             raise ValueError("n_time must be >= 2")
         lo, hi = self.omega_interval_mhz
-        if not (0.0 < lo < hi):
+        if not (_finite_number(lo) and _finite_number(hi) and 0.0 < lo < hi):
             raise ValueError(f"bad amplitude interval {self.omega_interval_mhz}")
+        if not (_finite_number(self.ramp_factor) and self.ramp_factor >= 0.0):
+            raise ValueError(f"ramp_factor must be finite and >= 0, got {self.ramp_factor}")
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
-class VariantResult:
-    """Extrema of one parameter variant over its own time window."""
+class SweepResult:
+    """A finished sweep as arrays; axis 1 of ``drives`` and ``extrema`` follows VARIANT_KINDS."""
 
-    kind: str
-    params: DriveParams
-    window_end: float
-    min_req: float
-    min_w: float
-    max_aleph: float
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One random set: the drawn state, the original draw and its two twins."""
-
-    index: int
-    state_ket: tuple[complex, complex, complex]
-    state_draw: tuple[float, float, float, float]  # a, b, phi_a, phi_b
-    variants: tuple[VariantResult, ...]
-
-    @property
-    def original(self) -> VariantResult:
-        return self.variants[0]
-
-    @property
-    def twins(self) -> tuple[VariantResult, ...]:
-        return self.variants[1:]
+    drives: np.ndarray  # (n_sets, 3, 4): omega1, omega2, phi1, phi2 in rad/us
+    draws: np.ndarray  # (n_sets, 4): the state draw a, b, phi_a, phi_b
+    kets: np.ndarray  # (n_sets, 3): the drawn states
+    extrema: np.ndarray  # (n_sets, 3, 4): window_end, min_req, min_w, max_aleph
 
 
 @dataclass
@@ -157,35 +147,50 @@ def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     a ~ U[0,1], b ~ U[0, sqrt(1-a^2)], phases ~ U[0, 2pi).  This nested-box
     law is the search's fixed convention; it is deliberately not Haar-uniform.
     """
-    ket, _ = _draw_state(rng)
-    return ket
-
-
-def _draw_state(rng: np.random.Generator) -> tuple[np.ndarray, tuple[float, float, float, float]]:
-    a = rng.uniform(0.0, 1.0)
-    b = rng.uniform(0.0, math.sqrt(max(0.0, 1.0 - a * a)))
-    phi_a = rng.uniform(0.0, 2.0 * math.pi)
-    phi_b = rng.uniform(0.0, 2.0 * math.pi)
-    rest = math.sqrt(max(0.0, 1.0 - a * a - b * b))
-    ket = np.array(
-        [a * np.exp(1j * phi_a), b * np.exp(1j * phi_b), rest], dtype=np.complex128
-    )
-    ket /= np.linalg.norm(ket)  # exact up to roundoff already
-    return ket, (a, b, phi_a, phi_b)
+    return _draw_states(rng.random((1, 4)))[1][0]
 
 
 def random_params(rng: np.random.Generator, config: SweepConfig | None = None) -> DriveParams:
     """Uniform draw of (omega1, phi1, omega2, phi2) in the configured boxes."""
-    cfg = config if config is not None else SweepConfig()
-    lo, hi = cfg.omega_interval_mhz
-    scale = MHZ_TO_ANGULAR if cfg.angular_convention else 1.0
-    omega1 = rng.uniform(lo, hi)
-    phi1 = rng.uniform(-cfg.ramp_factor * omega1, cfg.ramp_factor * omega1)
-    omega2 = rng.uniform(lo, hi)
-    phi2 = rng.uniform(-cfg.ramp_factor * omega2, cfg.ramp_factor * omega2)
-    return DriveParams(
-        omega1=scale * omega1, omega2=scale * omega2, phi1=scale * phi1, phi2=scale * phi2
-    )
+    return DriveParams(*_draw_drives(rng.random((1, 4)), config or SweepConfig())[0].tolist())
+
+
+def _draw_drives(u: np.ndarray, config: SweepConfig) -> np.ndarray:
+    """Drives (n, 4) as (omega1, omega2, phi1, phi2) in rad/us from the (n, 4) doubles."""
+    lo, hi = (float(x) for x in config.omega_interval_mhz)
+    omega = lo + (hi - lo) * u[:, ::2]
+    phi_lo = -config.ramp_factor * omega
+    phi = phi_lo + (config.ramp_factor * omega - phi_lo) * u[:, 1::2]
+    scale = MHZ_TO_ANGULAR if config.angular_convention else 1.0
+    return scale * np.concatenate([omega, phi], axis=1)
+
+
+def _draw_states(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state draws (a, b, phi_a, phi_b), shape (n, 4), and kets (n, 3) from the (n, 4) doubles."""
+    a = u[:, 0]
+    b = np.sqrt(np.maximum(0.0, 1.0 - a * a)) * u[:, 1]
+    phi_a, phi_b = 2.0 * math.pi * u[:, 2], 2.0 * math.pi * u[:, 3]
+    rest = np.sqrt(np.maximum(0.0, 1.0 - a * a - b * b))
+    kets = np.stack([a * np.exp(1j * phi_a), b * np.exp(1j * phi_b), rest], axis=1)
+    # per-row dot products, as np.linalg.norm sums them; elementwise sums move kets by an ulp
+    kets /= np.sqrt([re.dot(re) + im.dot(im) for re, im in zip(kets.real, kets.imag)])[:, None]
+    return np.stack([a, b, phi_a, phi_b], axis=1), kets
+
+
+def _with_twins(drawn: np.ndarray) -> np.ndarray:
+    """Drives (n, 3, 4) in VARIANT_KINDS order: each draw, then phi2 := phi1, then phi1 := phi2."""
+    drives = np.repeat(drawn[:, None, :], 3, axis=1)
+    drives[:, 1, 3] = drawn[:, 2]
+    drives[:, 2, 2] = drawn[:, 3]
+    return drives
+
+
+def _draw_sets(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drives (n_sets, 3, 4), state draws (n_sets, 4) and kets (n_sets, 3) of the sweep."""
+    u = np.stack([np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,))).random(8)
+                  for i in range(config.n_sets)])
+    draws, kets = _draw_states(u[:, 4:])
+    return _with_twins(_draw_drives(u[:, :4], config)), draws, kets
 
 
 def time_window(params: DriveParams) -> float:
@@ -193,21 +198,26 @@ def time_window(params: DriveParams) -> float:
 
     For equal ramp rates this is one full period of the dynamics.
     """
-    return 2.0 * math.pi / math.sqrt(
-        2.0 * (params.omega1**2 + params.omega2**2) + params.phi1**2
-    )
+    return _window(params.omega1, params.omega2, params.phi1)
 
 
-def variant_extrema(params_seq, kets, n_time: int) -> np.ndarray:
+def _window(omega1: float, omega2: float, phi1: float, *_) -> float:
+    # Python floats, as in emitters.omega_eff: the window keeps its bits
+    return 2.0 * math.pi / math.sqrt(2.0 * (omega1**2 + omega2**2) + phi1**2)
+
+
+def variant_extrema(drives, kets, n_time: int) -> np.ndarray:
     """Extrema of a stack of variants on their (0, T] grids, shape (n, 4).
 
-    ``params_seq`` holds n DriveParams and ``kets`` the n pure states, shape
-    (n, 3).  Row k is (window_end, min_req, min_w, max_aleph) of variant k;
-    see the module docstring for the identities used.
+    ``drives`` holds the n drives as rows (omega1, omega2, phi1, phi2), shape
+    (n, 4), and ``kets`` the n pure states, shape (n, 3).  Row k is
+    (window_end, min_req, min_w, max_aleph) of variant k; see the module
+    docstring for the identities used.
     """
+    drives = np.asarray(drives, dtype=np.float64)
     kets = np.asarray(kets, dtype=np.complex128)
-    t_end = np.array([time_window(p) for p in params_seq])
-    w1, w2, f1, f2 = np.array([(p.omega1, p.omega2, p.phi1, p.phi2) for p in params_seq]).T
+    t_end = np.array([_window(*row) for row in drives.tolist()])
+    w1, w2, f1, f2 = drives.T
     h0 = _hamiltonian_stack(0.0, w1, w2, f1, f2)  # bitwise hamiltonian_rot(0.0, p) per variant
     h_tilde = h0.copy()
     h_tilde[:, 0, 0], h_tilde[:, 2, 2] = -f1, -f2  # and hamiltonian_tilde(p)
@@ -275,82 +285,71 @@ def _grid_amplitudes(real_map: np.ndarray, theta: np.ndarray, n_time: int) -> np
 
 
 def _twin_variants(params: DriveParams) -> tuple[DriveParams, DriveParams]:
-    return (
-        DriveParams(params.omega1, params.omega2, params.phi1, params.phi1),
-        DriveParams(params.omega1, params.omega2, params.phi2, params.phi2),
-    )
+    """The two equal-ramp twins of one drive, as the sweep builds them."""
+    row = np.array([[params.omega1, params.omega2, params.phi1, params.phi2]])
+    return tuple(DriveParams(*twin) for twin in _with_twins(row)[0, 1:].tolist())
 
 
-def _score_chunk(jobs: list, n_time: int) -> np.ndarray:
-    """Extrema of (set index, kind, params, ket) jobs in one batched call.
+def _score_chunk(drives: np.ndarray, kets: np.ndarray, first: int, n_time: int) -> np.ndarray:
+    """Extrema of one chunk of the flat variant stack in one batched call.
 
-    A failing chunk is re-run one variant at a time to name the variant that
-    fails; if none does, the error still raises, naming the chunk's sets.
+    ``first`` is the flat index of the chunk's first variant; flat index j is
+    kind j % 3 of set j // 3.  A failing chunk is re-run one variant at a time
+    to name the variant that fails; if none does, the error still raises,
+    naming the chunk's sets.
     """
     try:
-        return variant_extrema([p for _, _, p, _ in jobs], [ket for *_, ket in jobs], n_time)
+        return variant_extrema(drives, kets, n_time)
     except (ValueError, ArithmeticError) as exc:
-        for index, kind, p, ket in jobs:
+        for k in range(len(drives)):
             try:
-                variant_extrema([p], [ket], n_time)
+                variant_extrema(drives[k : k + 1], kets[k : k + 1], n_time)
             except (ValueError, ArithmeticError) as one:
-                raise SweepSetFailed(f"set {index}, variant {kind}: {type(one).__name__}: {one}") from one
-        raise SweepSetFailed(f"sets {jobs[0][0]}-{jobs[-1][0]}: {type(exc).__name__}: {exc}") from exc
+                index, kind = divmod(first + k, 3)
+                raise SweepSetFailed(
+                    f"set {index}, variant {VARIANT_KINDS[kind]}: {type(one).__name__}: {one}"
+                ) from one
+        last = (first + len(drives) - 1) // 3
+        raise SweepSetFailed(f"sets {first // 3}-{last}: {type(exc).__name__}: {exc}") from exc
 
 
-def sweep(config: SweepConfig) -> tuple[list[SweepRecord], SweepSummary]:
+def sweep(config: SweepConfig) -> tuple[SweepResult, SweepSummary]:
     """Run the full sweep; deterministic for a given config.
 
     Every set is drawn from its own index-keyed substream, then the variants
-    are scored ``_CHUNK`` at a time.  A set that cannot be evaluated raises
-    SweepSetFailed; no set is skipped, so ``n_skipped`` is always 0.
+    are scored ``_CHUNK`` at a time into one ``SweepResult``.  A set that
+    cannot be evaluated raises SweepSetFailed; no set is skipped, so
+    ``n_skipped`` is always 0.
     """
-    rngs = (np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
-            for i in range(config.n_sets))
-    sets = [(random_params(rng, config), *_draw_state(rng)) for rng in rngs]
-    jobs = [
-        (i, kind, p, ket)
-        for i, (params, ket, _) in enumerate(sets)
-        for kind, p in zip(VARIANT_KINDS, (params, *_twin_variants(params)))
-    ]
-    rows = np.concatenate(
-        [_score_chunk(jobs[k : k + _CHUNK], config.n_time) for k in range(0, len(jobs), _CHUNK)]
-    ).tolist()
-    variants = [VariantResult(kind, p, *row) for (_, kind, p, _), row in zip(jobs, rows)]
-    records = [
-        SweepRecord(i, tuple(ket.tolist()), draw, tuple(variants[3 * i : 3 * i + 3]))
-        for i, (_, ket, draw) in enumerate(sets)
-    ]
-    return records, _summarize(records, config)
+    drives, draws, kets = _draw_sets(config)
+    flat = drives.reshape(-1, 4)
+    flat_kets = np.repeat(kets, 3, axis=0)
+    extrema = np.concatenate([
+        _score_chunk(flat[k : k + _CHUNK], flat_kets[k : k + _CHUNK], k, config.n_time)
+        for k in range(0, len(flat), _CHUNK)
+    ])
+    result = SweepResult(drives, draws, kets, extrema.reshape(-1, 3, 4))
+    return result, _summarize(result, config)
 
 
-def _summarize(records: list[SweepRecord], config: SweepConfig) -> SweepSummary:
+def _summarize(result: SweepResult, config: SweepConfig) -> SweepSummary:
     bound = math.sqrt(3.0) - 1.0 + 1e-9
-    all_variants = [v for r in records for v in r.variants]
-    originals = [r.original for r in records]
-    twins = [v for r in records for v in r.twins]
-
-    min_w_all = np.array([v.min_w for v in all_variants])
-    is_twin = np.array([v.kind != "original" for v in all_variants])
-    decile_cut = np.quantile(min_w_all, 0.1) if min_w_all.size else float("nan")
-    in_decile = min_w_all <= decile_cut
-    twin_frac = float(is_twin[in_decile].mean()) if in_decile.any() else float("nan")
-
-    best = max(all_variants, key=lambda v: v.max_aleph)
+    _, _, min_w, max_aleph = np.moveaxis(result.extrema, -1, 0)  # each (n_sets, 3)
+    in_decile = min_w <= np.quantile(min_w, 0.1)
+    best_set, best_kind = divmod(int(np.argmax(max_aleph)), 3)
+    _, _, phi1, phi2 = result.drives[best_set, best_kind].tolist()
     return SweepSummary(
         n_sets=config.n_sets,
         n_skipped=0,
         seed=config.seed,
         n_time=config.n_time,
         angular_convention=config.angular_convention,
-        fraction_aleph_positive=float(
-            np.mean([r.original.max_aleph > 0.0 for r in records]) if records else 0.0
-        ),
-        bound_violations=sum(v.max_aleph > bound for v in all_variants),
-        median_min_w_original=float(np.median([v.min_w for v in originals])),
-        median_min_w_twins=float(np.median([v.min_w for v in twins])),
-        lowest_decile_twin_fraction=twin_frac,
-        global_max_aleph=best.max_aleph,
-        global_max_aleph_kind=best.kind,
-        global_max_aleph_equal_ramps=best.params.equal_phases,
+        fraction_aleph_positive=float(np.mean(max_aleph[:, 0] > 0.0)),
+        bound_violations=int((max_aleph > bound).sum()),
+        median_min_w_original=float(np.median(min_w[:, 0])),
+        median_min_w_twins=float(np.median(min_w[:, 1:])),
+        lowest_decile_twin_fraction=float(in_decile[:, 1:].sum() / in_decile.sum()),
+        global_max_aleph=float(max_aleph[best_set, best_kind]),
+        global_max_aleph_kind=VARIANT_KINDS[best_kind],
+        global_max_aleph_equal_ramps=phi1 == phi2,
     )

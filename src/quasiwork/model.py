@@ -93,10 +93,6 @@ class DriveParams:
     def equal_drive(cls, omega: float, phi: float) -> "DriveParams":
         return cls(omega1=omega, omega2=omega, phi1=phi, phi2=phi)
 
-    @property
-    def equal_phases(self) -> bool:
-        return self.phi1 == self.phi2
-
 
 _GELL_MANN = {
     1: np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=np.complex128),

@@ -24,6 +24,11 @@ def random_drive(rng):
     )
 
 
+def drive_rows(params):
+    """DriveParams as the (n, 4) rows (omega1, omega2, phi1, phi2) that the sweep kernel takes."""
+    return np.array([(p.omega1, p.omega2, p.phi1, p.phi2) for p in params])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -172,14 +172,14 @@ def test_criterion_5_work_comparison(ref_grid_data):
 @pytest.fixture(scope="module")
 def sweep_1000():
     start = time.perf_counter()
-    records, summary = explore.sweep(explore.SweepConfig(n_sets=1000, seed=SWEEP_SEED))
-    return records, summary, time.perf_counter() - start
+    result, summary = explore.sweep(explore.SweepConfig(n_sets=1000, seed=SWEEP_SEED))
+    return result, summary, time.perf_counter() - start
 
 
 def test_criterion_6a_negativity_bound(sweep_1000):
-    records, summary, elapsed = sweep_1000
+    result, summary, elapsed = sweep_1000
     bound = analysis.NEGATIVITY_BOUND + 1e-9
-    worst = max(v.max_aleph for r in records for v in r.variants)
+    worst = float(result.extrema[..., 3].max())
     ok = summary.bound_violations == 0 and worst <= bound and elapsed < 120.0
     _report("6a", ok, f"max aleph over sweep {worst:.6f} <= sqrt(3)-1 (runtime {elapsed:.1f}s < 120s)")
     assert summary.bound_violations == 0

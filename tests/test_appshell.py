@@ -230,6 +230,24 @@ def test_cli_reproduce_and_sweep(tmp_path, capsys):
     assert len(rec_lines) == 1 + 12 * 3  # header + three variants per set
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "ramp_factor: .nan",
+        "omega_interval_mhz: [1.0, .inf]",
+        "omega_interval_mhz: [a, b]",
+        "ramp_factor: -1.0",
+    ],
+)
+def test_cli_bad_sweep_setting_is_a_config_error(tmp_path, capsys, setting):
+    cfg = _write(tmp_path, f"sweep: {{n_sets: 3, n_time: 20, {setting}}}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: sweep: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_sweep_archive_reproducible(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("sweep: {n_sets: 6, n_time: 30}\nseed: 11\n")
@@ -337,13 +355,14 @@ def test_cli_sweep_failed_set_is_loud(tmp_path, capsys, monkeypatch):
     sweep_cfg = load_config(cfg).sweep
     rng = np.random.default_rng(np.random.SeedSequence(sweep_cfg.seed, spawn_key=(1,)))
     drawn = explore.random_params(rng, sweep_cfg)
-    twin_ramp1 = explore._twin_variants(drawn)[0]
+    twin = explore._twin_variants(drawn)[0]
+    twin_ramp1 = [twin.omega1, twin.omega2, twin.phi1, twin.phi2]
     real = explore.variant_extrema
 
-    def fails_on_set_1_twin(params_seq, kets, n_time):
-        if twin_ramp1 in params_seq:
+    def fails_on_set_1_twin(drives, kets, n_time):
+        if (np.asarray(drives) == twin_ramp1).all(axis=1).any():
             raise np.linalg.LinAlgError("eigh did not converge")
-        return real(params_seq, kets, n_time)
+        return real(drives, kets, n_time)
 
     monkeypatch.setattr(explore, "variant_extrema", fails_on_set_1_twin)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -357,14 +376,14 @@ def test_sweep_archive_normalizes_work_by_omega_eff(tmp_path):
     from quasiwork.emitters import emit_sweep, omega_eff
     from quasiwork.explore import SweepConfig, sweep
 
-    records, summary = sweep(SweepConfig(n_sets=5, n_time=30, seed=2))
-    emit_sweep(default_config(out_dir=tmp_path), records, summary)
+    result, summary = sweep(SweepConfig(n_sets=5, n_time=30, seed=2))
+    emit_sweep(default_config(out_dir=tmp_path), result, summary)
     lines = (tmp_path / "sweep_records.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert "omega_norm" not in header
     assert len(lines) == 1 + 15
     for line in lines[1:]:
         row = dict(zip(header, line.split(",")))
-        params = model.DriveParams(*(float(row[k]) for k in ("omega1", "omega2", "phi1", "phi2")))
-        assert float(row["omega_eff"]) == omega_eff(params)
-        assert float(row["min_w_over_omega"]) == float(row["min_w_rad_per_us"]) / omega_eff(params)
+        om = omega_eff(float(row["omega1"]), float(row["omega2"]))
+        assert float(row["omega_eff"]) == om
+        assert float(row["min_w_over_omega"]) == float(row["min_w_rad_per_us"]) / om

@@ -14,20 +14,21 @@ from quasiwork.explore import (
     variant_extrema,
 )
 
+from conftest import drive_rows
 
-class _FixedUniform:
-    """Duck-typed stand-in for a Generator with scripted uniform() draws."""
+
+class _FixedRandom:
+    """Duck-typed stand-in for a Generator with scripted random() draws."""
 
     def __init__(self, values):
-        self._values = list(values)
+        self._values = np.array(values, dtype=float)
 
-    def uniform(self, lo, hi):
-        frac = self._values.pop(0)
-        return lo + frac * (hi - lo)
+    def random(self, size):
+        return self._values.reshape(size)
 
 
 def test_random_state_boundary():
-    ket = random_pure_state(_FixedUniform([1.0, 0.0, 0.25, 0.5]))
+    ket = random_pure_state(_FixedRandom([1.0, 0.0, 0.25, 0.5]))
     assert abs(ket[0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(ket[1]) == 0.0
     assert abs(ket[2]) == 0.0
@@ -41,15 +42,41 @@ def test_random_state_norm_and_support(rng):
 
 
 def test_random_state_first_moment():
-    # a ~ U[0,1]: mean of |<+1|ket>| estimates 1/2 within 3 sigma
+    # a ~ U[0,1]: mean of |<+1|ket>| estimates 1/2 within 3 sigma; one batched
+    # draw gives the same states as 100,000 random_pure_state calls would
     rng = np.random.default_rng(123)
     n = 100_000
-    acc = 0.0
-    for _ in range(n):
-        acc += abs(random_pure_state(rng)[0])
-    mean = acc / n
+    _, kets = explore._draw_states(rng.random((n, 4)))
+    mean = sum(np.abs(kets[:, 0]).tolist()) / n
     sigma = (1.0 / math.sqrt(12.0)) / math.sqrt(n)
     assert abs(mean - 0.5) <= 3.0 * sigma
+
+
+@pytest.mark.parametrize("cfg", [
+    SweepConfig(n_sets=200),
+    SweepConfig(n_sets=50, seed=4, omega_interval_mhz=(2, 7), ramp_factor=0.5, angular_convention=False),
+])
+def test_sweep_draw_matches_one_uniform_at_a_time(cfg):
+    # reference: each set's 8 values drawn one Generator.uniform call at a time
+    drives, draws, kets = explore._draw_sets(cfg)
+    lo, hi = cfg.omega_interval_mhz
+    scale = explore.MHZ_TO_ANGULAR if cfg.angular_convention else 1.0
+    for i in range(cfg.n_sets):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        w1 = rng.uniform(lo, hi)
+        f1 = rng.uniform(-cfg.ramp_factor * w1, cfg.ramp_factor * w1)
+        w2 = rng.uniform(lo, hi)
+        f2 = rng.uniform(-cfg.ramp_factor * w2, cfg.ramp_factor * w2)
+        a = rng.uniform(0.0, 1.0)
+        b = rng.uniform(0.0, math.sqrt(max(0.0, 1.0 - a * a)))
+        phi_a, phi_b = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        ket = np.array([a * np.exp(1j * phi_a), b * np.exp(1j * phi_b),
+                        math.sqrt(max(0.0, 1.0 - a * a - b * b))])
+        ket /= np.linalg.norm(ket)
+        o1, o2, r1, r2 = (scale * x for x in (w1, w2, f1, f2))
+        assert drives[i].tolist() == [[o1, o2, r1, r2], [o1, o2, r1, r1], [o1, o2, r2, r2]]
+        assert draws[i].tolist() == [a, b, phi_a, phi_b]
+        assert kets[i].tobytes() == ket.tobytes()
 
 
 def test_random_params_boxes(rng):
@@ -96,7 +123,7 @@ def _variant_stack(rng, n_sets):
         drawn = random_params(rng, cfg)
         ket = random_pure_state(rng)
         twins = explore._twin_variants(drawn)
-        assert all(twin.equal_phases for twin in twins)
+        assert all(twin.phi1 == twin.phi2 for twin in twins)
         params += [drawn, *twins]
         kets += [ket] * 3
     return params, np.array(kets)
@@ -105,7 +132,7 @@ def _variant_stack(rng, n_sets):
 def test_variant_extrema_matches_oracle(rng):
     n = 16
     params, kets = _variant_stack(rng, 8)
-    extrema = variant_extrema(params, kets, n)
+    extrema = variant_extrema(drive_rows(params), kets, n)
     assert extrema.shape == (24, 4)
     for p, ket, (t_end, min_req, min_w, max_aleph) in zip(params, kets, extrema):
         rho = np.outer(ket, ket.conj())
@@ -124,9 +151,10 @@ def test_variant_extrema_matches_oracle(rng):
 
 def test_variant_extrema_stack_matches_single_variants(rng):
     params, kets = _variant_stack(rng, 20)
-    extrema = variant_extrema(params, kets, 50)
-    for k, (p, ket) in enumerate(zip(params, kets)):
-        assert np.array_equal(extrema[k], variant_extrema([p], [ket], 50)[0])
+    rows = drive_rows(params)
+    extrema = variant_extrema(rows, kets, 50)
+    for k, ket in enumerate(kets):
+        assert np.array_equal(extrema[k], variant_extrema(rows[k : k + 1], [ket], 50)[0])
 
 
 def test_hamiltonian_stacks_match_per_variant_builds(rng, monkeypatch):
@@ -136,18 +164,22 @@ def test_hamiltonian_stacks_match_per_variant_builds(rng, monkeypatch):
     stacks = []
     real = explore.herm_eig
     monkeypatch.setattr(explore, "herm_eig", lambda h: stacks.append(h.copy()) or real(h))
-    variant_extrema(params, kets, 8)
+    variant_extrema(drive_rows(params), kets, 8)
     h0, h_tilde = stacks
     # bytes, so the signs of zero imaginary parts count too
     assert h0.tobytes() == np.stack([model.hamiltonian_rot(0.0, p) for p in params]).tobytes()
     assert h_tilde.tobytes() == np.stack([model.hamiltonian_tilde(p) for p in params]).tobytes()
 
 
+def _bits(result):
+    return [a.tobytes() for a in vars(result).values()]
+
+
 def test_sweep_determinism():
     cfg = SweepConfig(n_sets=5, n_time=64, seed=99)
-    rec1, sum1 = sweep(cfg)
-    rec2, sum2 = sweep(cfg)
-    assert rec1 == rec2
+    res1, sum1 = sweep(cfg)
+    res2, sum2 = sweep(cfg)
+    assert _bits(res1) == _bits(res2)
     assert sum1 == sum2
 
 
@@ -156,7 +188,7 @@ def test_sweep_records_identical_across_chunk_sizes(monkeypatch):
     default, _ = sweep(cfg)
     for chunk in (1, 7, 3 * cfg.n_sets):
         monkeypatch.setattr(explore, "_CHUNK", chunk)
-        assert sweep(cfg)[0] == default
+        assert _bits(sweep(cfg)[0]) == _bits(default)
 
 
 def test_sweep_chunk_failure_without_a_failing_variant_is_loud(monkeypatch):
@@ -164,10 +196,10 @@ def test_sweep_chunk_failure_without_a_failing_variant_is_loud(monkeypatch):
     # sweep still raises, naming the chunk's sets and the original error
     real = explore.variant_extrema
 
-    def fails_batched(params_seq, kets, n_time):
-        if len(params_seq) > 1:
+    def fails_batched(drives, kets, n_time):
+        if len(drives) > 1:
             raise FloatingPointError("overflow in chunk")
-        return real(params_seq, kets, n_time)
+        return real(drives, kets, n_time)
 
     monkeypatch.setattr(explore, "variant_extrema", fails_batched)
     with pytest.raises(SweepSetFailed, match=r"sets 0-3: FloatingPointError: overflow in chunk"):
@@ -176,21 +208,24 @@ def test_sweep_chunk_failure_without_a_failing_variant_is_loud(monkeypatch):
 
 def test_sweep_record_structure():
     cfg = SweepConfig(n_sets=10, n_time=80, seed=1)
-    records, summary = sweep(cfg)
-    assert len(records) == 10
+    result, summary = sweep(cfg)
+    assert result.drives.shape == (10, 3, 4) and result.extrema.shape == (10, 3, 4)
+    assert result.draws.shape == (10, 4) and result.kets.shape == (10, 3)
     bound = math.sqrt(3.0) - 1.0 + 1e-9
-    for rec in records:
-        assert [v.kind for v in rec.variants] == list(explore.VARIANT_KINDS)
-        assert rec.original.params.phi1 != rec.original.params.phi2
-        for twin, phi in zip(rec.twins, (rec.original.params.phi1, rec.original.params.phi2)):
-            assert twin.params.equal_phases
-            assert twin.params.phi1 == phi
-            assert twin.params.omega1 == rec.original.params.omega1
-        for v in rec.variants:
-            assert 0.0 <= v.max_aleph <= bound
-            assert v.window_end == pytest.approx(time_window(v.params))
-            if v.min_req < -1e-12:
-                assert v.max_aleph > 0.0
+    # axis 1 is VARIANT_KINDS: the draw, then its twins at phi1 and at phi2
+    assert explore.VARIANT_KINDS == ("original", "twin_ramp1", "twin_ramp2")
+    for drives, extrema in zip(result.drives, result.extrema):
+        original, *twins = (model.DriveParams(*row) for row in drives.tolist())
+        assert original.phi1 != original.phi2
+        for twin, phi in zip(twins, (original.phi1, original.phi2)):
+            assert twin.phi1 == twin.phi2
+            assert twin.phi1 == phi
+            assert twin.omega1 == original.omega1
+        for p, (window_end, min_req, _, max_aleph) in zip((original, *twins), extrema):
+            assert 0.0 <= max_aleph <= bound
+            assert window_end == pytest.approx(time_window(p))
+            if min_req < -1e-12:
+                assert max_aleph > 0.0
     assert summary.n_skipped == 0
     assert summary.bound_violations == 0
 
@@ -207,3 +242,9 @@ def test_sweep_config_validation():
         SweepConfig(n_time=1)
     with pytest.raises(ValueError):
         SweepConfig(omega_interval_mhz=(5.0, 2.0))
+    for interval in ((1.0, math.inf), (math.nan, 2.0), ("a", "b"), (True, 5.0)):
+        with pytest.raises(ValueError, match="bad amplitude interval"):
+            SweepConfig(omega_interval_mhz=interval)
+    for ramp in (math.nan, math.inf, -1.0, "2"):
+        with pytest.raises(ValueError, match="ramp_factor"):
+            SweepConfig(ramp_factor=ramp)

@@ -20,6 +20,8 @@ from quasiwork.propagate import propagator_closed
 from quasiwork.qmath import unitarity_defect
 from quasiwork.schemes import COMPLEMENT_CUTOFF, kdq_direct, mhq_reconstruct, scheme_tables
 
+from conftest import drive_rows
+
 _unit = st.floats(-1.0, 1.0)
 _log_omega = st.floats(-3.0, 3.0)
 
@@ -113,7 +115,7 @@ def test_sweep_kernel_matches_the_oracle_at_extreme_drives(data):
     ket = data.draw(pure_kets(drawn))
     rho = np.outer(ket, ket.conj())
     n_time = 20  # past one block of the kernel's angle-sum phase grid
-    extrema = variant_extrema(variants, [ket] * len(variants), n_time)
+    extrema = variant_extrema(drive_rows(variants), [ket] * len(variants), n_time)
     for p, (t_end, min_req, min_w, max_aleph) in zip(variants, extrema):
         scale = max(p.omega1, p.omega2, abs(p.phi1), abs(p.phi2), 1.0)
         p_init = np.abs(energy_basis(0.0, p).vectors.conj().T @ ket) ** 2
