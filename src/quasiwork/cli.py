@@ -47,8 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="random-parameter extrema study")
     add_common(p)
 
-    p = sub.add_parser("selftest", help="run reduced invariant suites")
-    add_common(p)
+    sub.add_parser("selftest", help="run reduced invariant suites")
     return parser
 
 

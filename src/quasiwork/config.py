@@ -28,39 +28,31 @@ Schema (all keys optional; defaults reproduce the bundled reference setup)::
 ``unit`` converts the four drive numbers into the internal angular rad/us:
 ``MHz_times_2pi`` multiplies by 2*pi (ordinary-frequency MHz), ``MHz_plain``
 uses the numbers unscaled, ``angular_rad_per_us`` is the identity.
+
+Keyword overrides (the CLI flags) replace the file values first, and every
+value is then read once by a typed check; a bad one raises ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .explore import SweepConfig
-from .model import (
-    DriveParams,
-    InitialStateSpec,
-    REFERENCE_STATE_PHASES,
-    REFERENCE_STATE_WEIGHTS,
-)
+from .explore import MHZ_TO_ANGULAR, SweepConfig, _window
+from .model import REFERENCE_STATE_PHASES, REFERENCE_STATE_WEIGHTS, DriveParams, InitialStateSpec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "default_config", "UNIT_SCALES"]
 
-UNIT_SCALES = {
-    "angular_rad_per_us": 1.0,
-    "MHz_times_2pi": 2.0 * math.pi,
-    "MHz_plain": 1.0,
-}
+UNIT_SCALES = {"angular_rad_per_us": 1.0, "MHz_times_2pi": 2.0 * math.pi, "MHz_plain": 1.0}
 
-_DEFAULT_DRIVE = {
-    "unit": "MHz_times_2pi",
-    "omega1": 2.219,
-    "omega2": 2.219,
-    "phi1": 1.09 * 2.219,
-    "phi2": 1.09 * 2.219,
-}
+_DRIVE_KEYS = ("omega1", "omega2", "phi1", "phi2")
+
+_DEFAULT_DRIVE = {"unit": "MHz_times_2pi", "omega1": 2.219, "omega2": 2.219,
+                  "phi1": 1.09 * 2.219, "phi2": 1.09 * 2.219}
 
 
 # libyaml's parser when PyYAML was built with it (about 10x faster), else pure Python
@@ -112,99 +104,69 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
 
 def _build_config(data: dict, overrides: dict) -> RunConfig:
     _reject_unknown(data, {"drive", "state", "grid", "shots", "seed", "out_dir", "sweep"}, "top level")
+    data = {**data, **{key: _section(data, key) for key in ("drive", "state", "grid", "sweep")}}
+    for key in ("seed", "shots", "out_dir"):
+        if overrides.get(key) is not None:
+            data[key] = overrides[key]
+    if overrides.get("grid_points") is not None:
+        data["grid"]["points"] = data["sweep"]["n_time"] = overrides["grid_points"]
 
-    drive = {**_DEFAULT_DRIVE, **_section(data, "drive")}
+    drive = {**_DEFAULT_DRIVE, **data["drive"]}
     _reject_unknown(drive, set(_DEFAULT_DRIVE), "drive")
     unit = drive["unit"]
-    if unit not in UNIT_SCALES:
+    if not isinstance(unit, str) or unit not in UNIT_SCALES:
         raise ConfigError(f"drive.unit: {unit!r} not one of {sorted(UNIT_SCALES)}")
-    scale = UNIT_SCALES[unit]
+    values = [UNIT_SCALES[unit] * _number(drive[k], f"drive.{k}") for k in _DRIVE_KEYS]
     try:
-        params = DriveParams(
-            omega1=scale * _number(drive, "omega1", "drive"),
-            omega2=scale * _number(drive, "omega2", "drive"),
-            phi1=scale * _number(drive, "phi1", "drive"),
-            phi2=scale * _number(drive, "phi2", "drive"),
-        )
+        params = DriveParams(*values)
     except ValueError as exc:
         raise ConfigError(f"drive: {exc}") from exc
+    _check_windows("drive", (params.omega1, params.omega2, params.phi1), (params.omega1, params.omega2, 0.0))
 
-    state_map = {
-        "weights": list(REFERENCE_STATE_WEIGHTS),
-        "phases": list(REFERENCE_STATE_PHASES),
-        **_section(data, "state"),
-    }
-    _reject_unknown(state_map, {"weights", "phases"}, "state")
+    state = {"weights": REFERENCE_STATE_WEIGHTS, "phases": REFERENCE_STATE_PHASES, **data["state"]}
+    _reject_unknown(state, {"weights", "phases"}, "state")
+    weights, phases = (_numbers(state[k], 3, f"state.{k}") for k in ("weights", "phases"))
     try:
-        state = InitialStateSpec(
-            weights=tuple(_triple(state_map, "weights", "state")),
-            phases=tuple(_triple(state_map, "phases", "state")),
-        )
+        state_spec = InitialStateSpec(weights=tuple(weights), phases=tuple(phases))
     except ValueError as exc:
         raise ConfigError(f"state: {exc}") from exc
 
-    grid = {"start": 0.0, "end": None, "points": 400, **_section(data, "grid")}
+    grid = {"start": 0.0, "end": None, "points": 400, **data["grid"]}
     _reject_unknown(grid, {"start", "end", "points"}, "grid")
-    start = _number(grid, "start", "grid")
-    end = None if grid["end"] is None else _number(grid, "end", "grid")
-    points = int(grid["points"])
-    if "grid_points" in overrides and overrides["grid_points"] is not None:
-        points = int(overrides["grid_points"])
+    start = _number(grid["start"], "grid.start")
+    end = None if grid["end"] is None else _number(grid["end"], "grid.end")
+    points = _integer(grid["points"], "grid.points", 2)
     if start < -1e-12:
         raise ConfigError(f"grid.start: must be >= 0, got {start}")
     if end is not None and end <= start:
         raise ConfigError(f"grid.end: must exceed grid.start, got {end} <= {start}")
-    if points < 2:
-        raise ConfigError(f"grid.points: need at least 2, got {points}")
 
-    shots = data.get("shots")
-    if "shots" in overrides and overrides["shots"] is not None:
-        shots = overrides["shots"]
-    if shots is not None:
-        shots = int(shots)
-        if shots < 1:
-            raise ConfigError(f"shots: must be positive, got {shots}")
+    # numpy's multinomial takes a C long; SeedSequence takes no negative seed
+    shots = None if data.get("shots") is None else _integer(data["shots"], "shots", 1, 2**63 - 1)
+    seed = _integer(data.get("seed", SweepConfig.seed), "seed", 0)
+    out_dir = data.get("out_dir", "out")
+    if not (isinstance(out_dir, str) and out_dir or isinstance(out_dir, os.PathLike)):
+        raise ConfigError(f"out_dir: expected a directory name, got {out_dir!r}")
 
-    seed = int(data.get("seed", 20260810))
-    if "seed" in overrides and overrides["seed"] is not None:
-        seed = int(overrides["seed"])
-
-    out_dir = Path(overrides.get("out_dir") or data.get("out_dir", "out"))
-
-    sweep_map = _section(data, "sweep")
-    _reject_unknown(
-        sweep_map,
-        {"n_sets", "n_time", "omega_interval_mhz", "ramp_factor", "angular_convention"},
-        "sweep",
-    )
-    n_time = int(sweep_map.get("n_time", 200))
-    if "grid_points" in overrides and overrides["grid_points"] is not None:
-        n_time = int(overrides["grid_points"])
-    try:
-        sweep_cfg = SweepConfig(
-            n_sets=int(sweep_map.get("n_sets", 1000)),
-            n_time=n_time,
-            seed=seed,
-            omega_interval_mhz=tuple(sweep_map.get("omega_interval_mhz", (1.0, 20.0))),
-            ramp_factor=float(sweep_map.get("ramp_factor", 2.0)),
-            angular_convention=bool(sweep_map.get("angular_convention", True)),
-        )
-    except (ValueError, TypeError) as exc:
+    readers = {
+        "n_sets": lambda v, where: _integer(v, where, 1),
+        "n_time": lambda v, where: _integer(v, where, 2),
+        "omega_interval_mhz": _interval,
+        "ramp_factor": _number,
+        "angular_convention": _boolean,
+    }
+    _reject_unknown(data["sweep"], set(readers), "sweep")
+    try:  # only the keys given: SweepConfig holds the defaults
+        sweep = SweepConfig(seed=seed, **{k: readers[k](v, k) for k, v in data["sweep"].items()})
+    except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
+    lo, hi = (float(x) for x in sweep.omega_interval_mhz)
+    top, bottom = (x * (MHZ_TO_ANGULAR if sweep.angular_convention else 1.0) for x in (hi, lo))
+    _check_windows("sweep: drawn drive", (top, top, top * sweep.ramp_factor), (bottom, bottom, 0.0))
 
-    return RunConfig(
-        params=params,
-        state=state,
-        grid_start=start,
-        grid_end=end,
-        grid_points=points,
-        shots=shots,
-        seed=seed,
-        out_dir=out_dir,
-        sweep=sweep_cfg,
-        unit=unit,
-        raw_drive={k: drive[k] for k in ("omega1", "omega2", "phi1", "phi2")},
-    )
+    return RunConfig(params=params, state=state_spec, grid_start=start, grid_end=end, grid_points=points,
+                     shots=shots, seed=seed, out_dir=Path(out_dir), sweep=sweep, unit=unit,
+                     raw_drive={k: drive[k] for k in _DRIVE_KEYS})
 
 
 def _section(data: dict, key: str) -> dict:
@@ -220,20 +182,55 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _number(mapping: dict, key: str, where: str) -> float:
-    val = mapping[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {val!r}")
-    return float(val)
+def _number(val, where: str) -> float:
+    """A finite int or float, never a bool, as a float."""
+    try:
+        if not isinstance(val, bool) and math.isfinite(val):
+            return float(val)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {val!r}")
 
 
-def _triple(mapping: dict, key: str, where: str) -> list[float]:
-    val = mapping[key]
-    if not isinstance(val, (list, tuple)) or len(val) != 3:
-        raise ConfigError(f"{where}.{key}: expected a list of three numbers, got {val!r}")
-    out = []
-    for j, x in enumerate(val):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{where}.{key}[{j}]: expected a number, got {x!r}")
-        out.append(float(x))
-    return out
+def _integer(val, where: str, lo: int, hi: float = math.inf) -> int:
+    """An int, or an integral float, in [lo, hi]."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        val = _number(val, where)
+        if not val.is_integer():
+            raise ConfigError(f"{where}: expected an integer, got {val!r}")
+        val = int(val)
+    if not lo <= val <= hi:
+        raise ConfigError(f"{where}: must lie in [{lo}, {hi}], got {val}")
+    return val
+
+
+def _numbers(val, n: int, where: str) -> list[float]:
+    if not isinstance(val, (list, tuple)) or len(val) != n:
+        raise ConfigError(f"{where}: expected a list of {n} numbers, got {val!r}")
+    return [_number(x, f"{where}[{j}]") for j, x in enumerate(val)]
+
+
+def _interval(val, where: str) -> tuple:
+    _numbers(val, 2, where)
+    return tuple(val)  # as written: the sweep summary echoes it
+
+
+def _boolean(val, where: str) -> bool:
+    if not isinstance(val, bool):
+        raise ConfigError(f"{where}: expected true or false, got {val!r}")
+    return val
+
+
+def _check_windows(where: str, *drives: tuple[float, float, float]) -> None:
+    """Refuse drives (omega1, omega2, phi1), rad/us, that overflow or underflow the window's float squares.
+
+    With phi1 = 0 this also covers omega_eff, which squares the amplitudes alone.
+    """
+    for drive in drives:
+        try:
+            ok = _window(*drive) > 0.0
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{where}: (omega1, omega2, phi1) = {drive} rad/us is out of range "
+                              "for the time window")

@@ -282,4 +282,4 @@ def _write_dict_rows(path: Path, rows: list[dict], fields: list[str]) -> None:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")  # a NaN fails loudly

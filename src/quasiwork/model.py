@@ -134,20 +134,11 @@ def hamiltonian_rot(t: float, params: DriveParams) -> np.ndarray:
     Entry (0,1) is (omega1/sqrt2) e^{-i phi1 t}, entry (2,1) is
     (omega2/sqrt2) e^{-i phi2 t}; the diagonal vanishes.
     """
-    a = (params.omega1 / np.sqrt(2.0)) * np.exp(-1j * params.phi1 * t)
-    b = (params.omega2 / np.sqrt(2.0)) * np.exp(-1j * params.phi2 * t)
-    return np.array(
-        [
-            [0.0, a, 0.0],
-            [np.conj(a), 0.0, np.conj(b)],
-            [0.0, b, 0.0],
-        ],
-        dtype=np.complex128,
-    )
+    return _hamiltonian_stack(t, params.omega1, params.omega2, params.phi1, params.phi2)
 
 
 def _hamiltonian_stack(t, omega1, omega2, phi1, phi2) -> np.ndarray:
-    """``hamiltonian_rot`` broadcast over array arguments, shape (..., 3, 3)."""
+    """H(t) of ``hamiltonian_rot`` for arguments broadcast together, shape (..., 3, 3)."""
     a = (omega1 / np.sqrt(2.0)) * np.exp(-1j * phi1 * t)
     b = (omega2 / np.sqrt(2.0)) * np.exp(-1j * phi2 * t)
     h = np.zeros((*np.broadcast(a, b).shape, 3, 3), dtype=np.complex128)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TOL",
-    "Tolerances",
+    "HERMITIAN_TOL",
+    "PROJECTOR_TOL",
     "DimensionMismatch",
     "NonHermitianInput",
     "EigenSystem",
@@ -43,18 +43,8 @@ class NonHermitianInput(ValueError):
     """A Hermitian matrix was required but the input fails the tolerance."""
 
 
-@dataclass
-class Tolerances:
-    """Central table of numerical tolerances.
-
-    Tests may relax these in one place; library code never hardcodes its own.
-    """
-
-    hermitian: float = 1e-12      # max |M - M^dag| relative to max |M|
-    projector: float = 1e-10      # max |P^2 - P| entrywise
-
-
-TOL = Tolerances()
+HERMITIAN_TOL = 1e-12  # max |M - M^dag| relative to max |M|
+PROJECTOR_TOL = 1e-10  # max |P^2 - P| entrywise
 
 
 def _as_square(m) -> np.ndarray:
@@ -117,8 +107,8 @@ def herm_eig(m) -> EigenSystem:
     """
     a = _as_square(m)
     defect = _hermiticity_defect(a)
-    if defect > TOL.hermitian:
-        raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds {TOL.hermitian:.0e}")
+    if defect > HERMITIAN_TOL:
+        raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     values, vectors = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
     _phase_gauge(vectors)
     return EigenSystem(values=values, vectors=vectors)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .model import DriveParams, EnergyBasis, InitialStateSpec, _energy_basis0, energy_basis, state_vector
 from .propagate import _tilde_eig, _validate_closed_form, frame_amplitudes, propagator_closed
-from .qmath import TOL, projector_defect
+from .qmath import PROJECTOR_TOL, projector_defect
 
 __all__ = [
     "SchemeTables",
@@ -302,7 +302,7 @@ def gate_to_zero(xi) -> np.ndarray:
     NotRankOne unless Xi is a rank-1 projector.
     """
     p = np.asarray(xi, dtype=np.complex128)
-    if p.shape != (3, 3) or projector_defect(p) > TOL.projector or abs(np.trace(p).real - 1.0) > 1e-9:
+    if p.shape != (3, 3) or projector_defect(p) > PROJECTOR_TOL or abs(np.trace(p).real - 1.0) > 1e-9:
         raise NotRankOne("input is not a rank-1 projector")
     k = int(np.argmax(np.diagonal(p).real))
     v = p[:, k] / np.sqrt(p[k, k].real)

@@ -248,6 +248,75 @@ def test_cli_bad_sweep_setting_is_a_config_error(tmp_path, capsys, setting):
     assert not (tmp_path / "o").exists()
 
 
+_SMALL_SWEEP = "sweep: {n_sets: 3, n_time: 20}"
+
+
+@pytest.mark.parametrize(
+    "command, text, flags",
+    [
+        ("reproduce-fig3", "seed: abc", []),
+        ("reproduce-fig3", "shots: abc", []),
+        ("reproduce-fig3", "shots: 1.5e400", []),
+        ("reproduce-fig3", "shots: 1.0e+20", []),
+        ("reproduce-fig3", "grid: {points: .inf}", []),
+        ("reproduce-fig3", "drive: {omega1: 1.0e+200}", []),
+        ("reproduce-fig3", "out_dir: 5", []),
+        ("reproduce-fig3", "out_dir: null", []),
+        ("reproduce-fig3", "drive: {unit: [a]}", []),
+        ("sweep", f"seed: -1\n{_SMALL_SWEEP}", []),
+        ("sweep", "sweep: {n_sets: 3, n_time: 20, omega_interval_mhz: [1.0, 1.0e+300]}", []),
+        ("reproduce-fig3", "grid: {end: .nan}", []),
+        ("reproduce-fig3", "grid: {points: 2.9}", []),
+        ("sweep", "sweep: {n_sets: 3, n_time: 20, angular_convention: 'false'}", []),
+        ("sweep", "sweep: {n_sets: '3', n_time: 20}", []),
+        ("reproduce-fig3", "drive: {unit: angular_rad_per_us, omega1: 1.0e-200, omega2: 1.0e-200,"
+                           " phi1: 0.0, phi2: 0.0}", []),
+        ("reproduce-fig4", "drive: {unit: angular_rad_per_us, omega1: 1.0e-170, omega2: 1.0e-170,"
+                           " phi1: 1.0, phi2: 1.0}", []),
+        ("reproduce-fig3", "grid: {points: 3}", ["--seed", "-1"]),
+        ("reproduce-fig3", "grid: {points: 3}", ["--steps", "1"]),
+        ("reproduce-fig3", "grid: {points: 3}", ["--shots", "0"]),
+        ("sweep", _SMALL_SWEEP, ["--steps", "1"]),
+    ],
+)
+def test_cli_bad_setting_is_one_config_error_line(tmp_path, capsys, monkeypatch, command, text, flags):
+    # no --out flag, so out_dir comes from the file; the default "out" lands in tmp_path
+    cfg = _write(tmp_path, text + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(cfg), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+
+def test_integral_floats_still_load(tmp_path):
+    cfg = load_config(_write(tmp_path, "grid: {points: 400.0}\nshots: 1.0e+6\nseed: 7.0\n"))
+    assert (cfg.grid_points, cfg.shots, cfg.seed) == (400, 10**6, 7)
+    assert all(type(x) is int for x in (cfg.grid_points, cfg.shots, cfg.seed))
+
+
+def test_integer_ramp_factor_is_summarised_as_a_float(tmp_path):
+    cfg = _write(tmp_path, "sweep: {n_sets: 3, n_time: 20, ramp_factor: 2}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "sweep_summary.json").read_text()
+    assert '"ramp_factor": 2.0,' in text
+
+
+def test_json_artefacts_refuse_nan(tmp_path):
+    from quasiwork.emitters import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"value": float("nan")})
+
+
+def test_cli_selftest_takes_no_flags(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_sweep_archive_reproducible(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("sweep: {n_sets: 6, n_time: 30}\nseed: 11\n")
