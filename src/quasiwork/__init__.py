@@ -7,7 +7,7 @@ classical two-point-measurement baseline, and explores random drive
 parameters for extremal behaviour.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .analysis import (
     NEGATIVITY_BOUND,
@@ -23,13 +23,11 @@ from .model import (
     DriveParams,
     InitialStateSpec,
     energy_basis,
-    gell_mann,
     hamiltonian_rot,
     hamiltonian_tilde,
     initial_state,
     reference_params,
     reference_state_spec,
-    spin_ops,
     state_vector,
 )
 from .propagate import propagator_closed, propagator_stepped
@@ -60,7 +58,6 @@ __all__ = [
     "classical_decomposition",
     "energy_basis",
     "gate_to_zero",
-    "gell_mann",
     "hamiltonian_rot",
     "hamiltonian_tilde",
     "herm_eig",
@@ -79,7 +76,6 @@ __all__ = [
     "scheme_series",
     "scheme_tables",
     "shot_noise_sample",
-    "spin_ops",
     "state_vector",
     "sweep",
     "time_window",

@@ -51,6 +51,10 @@ UNIT_SCALES = {"angular_rad_per_us": 1.0, "MHz_times_2pi": 2.0 * math.pi, "MHz_p
 
 _DRIVE_KEYS = ("omega1", "omega2", "phi1", "phi2")
 
+# One cap for grid.points and sweep.n_time, which --steps both writes.  A sweep
+# holds about 10 KB per time point, so a run at the cap peaks near 1 GB.
+MAX_TIME_POINTS = 10**5
+
 _DEFAULT_DRIVE = {"unit": "MHz_times_2pi", "omega1": 2.219, "omega2": 2.219,
                   "phi1": 1.09 * 2.219, "phi2": 1.09 * 2.219}
 
@@ -135,7 +139,7 @@ def _build_config(data: dict, overrides: dict) -> RunConfig:
     _reject_unknown(grid, {"start", "end", "points"}, "grid")
     start = _number(grid["start"], "grid.start")
     end = None if grid["end"] is None else _number(grid["end"], "grid.end")
-    points = _integer(grid["points"], "grid.points", 2)
+    points = _integer(grid["points"], "grid.points", 2, MAX_TIME_POINTS)
     if start < -1e-12:
         raise ConfigError(f"grid.start: must be >= 0, got {start}")
     if end is not None and end <= start:
@@ -149,8 +153,8 @@ def _build_config(data: dict, overrides: dict) -> RunConfig:
         raise ConfigError(f"out_dir: expected a directory name, got {out_dir!r}")
 
     readers = {
-        "n_sets": lambda v, where: _integer(v, where, 1),
-        "n_time": lambda v, where: _integer(v, where, 2),
+        "n_sets": lambda v, where: _integer(v, where, 1, 10**6),
+        "n_time": lambda v, where: _integer(v, where, 2, MAX_TIME_POINTS),
         "omega_interval_mhz": _interval,
         "ramp_factor": _number,
         "angular_convention": _boolean,

@@ -284,12 +284,6 @@ def _grid_amplitudes(real_map: np.ndarray, theta: np.ndarray, n_time: int) -> np
     return amp.reshape(n, rows, -1)[..., 1 : n_time + 1]
 
 
-def _twin_variants(params: DriveParams) -> tuple[DriveParams, DriveParams]:
-    """The two equal-ramp twins of one drive, as the sweep builds them."""
-    row = np.array([[params.omega1, params.omega2, params.phi1, params.phi2]])
-    return tuple(DriveParams(*twin) for twin in _with_twins(row)[0, 1:].tolist())
-
-
 def _score_chunk(drives: np.ndarray, kets: np.ndarray, first: int, n_time: int) -> np.ndarray:
     """Extrema of one chunk of the flat variant stack in one batched call.
 

@@ -34,18 +34,13 @@ import numpy as np
 from .qmath import herm_eig
 
 __all__ = [
-    "BASIS_STATES",
     "ENERGY_LABELS",
     "DriveParams",
     "InitialStateSpec",
     "EnergyBasis",
-    "UnsupportedIndex",
     "InvalidSpec",
-    "gell_mann",
-    "spin_ops",
     "hamiltonian_rot",
     "hamiltonian_tilde",
-    "phase_generator",
     "energy_basis",
     "initial_state",
     "state_vector",
@@ -55,14 +50,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Matrix index -> bare state; fixed ordering (|+1>, |0>, |-1>).
-BASIS_STATES = ("+1", "0", "-1")
 # Table index -> energy label; fixed ordering (+, 0, -), descending energy.
 ENERGY_LABELS = ("+", "0", "-")
-
-
-class UnsupportedIndex(ValueError):
-    """Requested Gell-Mann matrix outside the supported set {1, 2, 6, 7}."""
 
 
 class InvalidSpec(ValueError):
@@ -94,40 +83,6 @@ class DriveParams:
         return cls(omega1=omega, omega2=omega, phi1=phi, phi2=phi)
 
 
-_GELL_MANN = {
-    1: np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=np.complex128),
-    2: np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=np.complex128),
-    6: np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=np.complex128),
-    7: np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=np.complex128),
-}
-
-
-def gell_mann(k: int) -> np.ndarray:
-    """Gell-Mann matrix lambda_k for the two driven transitions (k in 1,2,6,7)."""
-    try:
-        return _GELL_MANN[k].copy()
-    except KeyError:
-        raise UnsupportedIndex(f"gell_mann index {k} not in {sorted(_GELL_MANN)}") from None
-
-
-def spin_ops() -> dict[str, np.ndarray]:
-    """Transition spin operators in the fixed (|+1>, |0>, |-1>) ordering.
-
-    Sx1 = lambda1/sqrt2, Sy1 = lambda2/sqrt2 (upper transition);
-    Sx2 = lambda6/sqrt2, Sy2 = lambda7/sqrt2 (lower transition);
-    Sz1 = |+1><+1|, Sz2 = -|-1><-1|.
-    """
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    return {
-        "Sx1": inv_sqrt2 * gell_mann(1),
-        "Sy1": inv_sqrt2 * gell_mann(2),
-        "Sx2": inv_sqrt2 * gell_mann(6),
-        "Sy2": inv_sqrt2 * gell_mann(7),
-        "Sz1": np.diag([1.0, 0.0, 0.0]).astype(np.complex128),
-        "Sz2": np.diag([0.0, 0.0, -1.0]).astype(np.complex128),
-    }
-
-
 def hamiltonian_rot(t: float, params: DriveParams) -> np.ndarray:
     """Rotating-frame Hamiltonian H(t), rad/us.
 
@@ -156,11 +111,6 @@ def hamiltonian_tilde(params: DriveParams) -> np.ndarray:
     h[0, 0] = -params.phi1
     h[2, 2] = -params.phi2
     return h
-
-
-def phase_generator(params: DriveParams) -> np.ndarray:
-    """Diagonal generator D = diag(phi1, 0, phi2) with H(t) = e^{-itD} H(0) e^{+itD}."""
-    return np.diag([params.phi1, 0.0, params.phi2]).astype(np.complex128)
 
 
 @dataclass(frozen=True)

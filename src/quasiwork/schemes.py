@@ -55,7 +55,6 @@ __all__ = [
     "InvalidDistribution",
     "ket_from_pure",
     "tpm_table",
-    "epm_table",
     "wtpm_nonselective",
     "scheme_series",
     "scheme_tables",
@@ -175,16 +174,6 @@ def _complement_ket(psi: np.ndarray, i: int, basis0: EnergyBasis) -> np.ndarray:
     if n2 < COMPLEMENT_CUTOFF:
         raise DegenerateComplement(f"state lies entirely in outcome {i}")
     return v / np.sqrt(n2)
-
-
-def epm_table(rho, t: float, params: DriveParams) -> np.ndarray:
-    """End-point distribution p_end[f] = Tr[U rho U^dag Xi_f(t)]; rho may be mixed."""
-    r = np.asarray(rho, dtype=np.complex128)
-    u = propagator_closed(t, params).u
-    basis_t = energy_basis(t, params)
-    evolved = u @ r @ u.conj().T
-    overlaps = basis_t.vectors.conj().T @ evolved @ basis_t.vectors
-    return np.diagonal(overlaps).real.copy()
 
 
 def tpm_table(rho, t: float, params: DriveParams) -> np.ndarray:

@@ -1,7 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from quasiwork import explore, model, schemes
+from quasiwork import explore, model, propagate, schemes
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# Transition spin operators in the (|+1>, |0>, |-1>) ordering: Sx/Sy are the
+# Gell-Mann matrices lambda1, lambda2 (upper) and lambda6, lambda7 (lower)
+# over sqrt2; Sz1 = |+1><+1|, Sz2 = -|-1><-1|.
+SPIN_OPS = {
+    "Sx1": _INV_SQRT2 * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=np.complex128),
+    "Sy1": _INV_SQRT2 * np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=np.complex128),
+    "Sx2": _INV_SQRT2 * np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=np.complex128),
+    "Sy2": _INV_SQRT2 * np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=np.complex128),
+    "Sz1": np.diag([1.0, 0.0, 0.0]).astype(np.complex128),
+    "Sz2": np.diag([0.0, 0.0, -1.0]).astype(np.complex128),
+}
 
 
 def random_hermitian(rng, scale=1.0):
@@ -27,6 +43,19 @@ def random_drive(rng):
 def drive_rows(params):
     """DriveParams as the (n, 4) rows (omega1, omega2, phi1, phi2) that the sweep kernel takes."""
     return np.array([(p.omega1, p.omega2, p.phi1, p.phi2) for p in params])
+
+
+def twin_variants(params):
+    """The two equal-ramp twins of a drive: phi2 := phi1, then phi1 := phi2."""
+    return (dataclasses.replace(params, phi2=params.phi1), dataclasses.replace(params, phi1=params.phi2))
+
+
+def epm_table(rho, t, params):
+    """End-point distribution p_end[f] = Tr[U rho U^dag Xi_f(t)]; rho may be mixed."""
+    u = propagate.propagator_closed(t, params).u
+    vectors = model.energy_basis(t, params).vectors
+    evolved = u @ np.asarray(rho, dtype=np.complex128) @ u.conj().T
+    return np.diagonal(vectors.conj().T @ evolved @ vectors).real.copy()
 
 
 @pytest.fixture

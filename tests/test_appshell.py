@@ -2,6 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from quasiwork.config import ConfigError, default_config, load_config
 from quasiwork.emitters import emit_figure, figure_times, z_stderr_prediction
 from quasiwork.explore import time_window
 from quasiwork.schemes import scheme_tables
+
+from conftest import twin_variants
 
 
 def _write(tmp_path, text):
@@ -277,6 +284,11 @@ _SMALL_SWEEP = "sweep: {n_sets: 3, n_time: 20}"
         ("reproduce-fig3", "grid: {points: 3}", ["--steps", "1"]),
         ("reproduce-fig3", "grid: {points: 3}", ["--shots", "0"]),
         ("sweep", _SMALL_SWEEP, ["--steps", "1"]),
+        ("reproduce-fig3", "grid: {points: 1.0e+15}", []),
+        ("sweep", "sweep: {n_sets: 3, n_time: 100001}", []),
+        ("sweep", "sweep: {n_sets: 1.0e+15, n_time: 20}", []),
+        ("reproduce-fig3", "grid: {points: 3}", ["--steps", "100001"]),
+        ("reproduce-fig3", "grid: {start: -1.0e-6}", []),
     ],
 )
 def test_cli_bad_setting_is_one_config_error_line(tmp_path, capsys, monkeypatch, command, text, flags):
@@ -294,6 +306,11 @@ def test_integral_floats_still_load(tmp_path):
     cfg = load_config(_write(tmp_path, "grid: {points: 400.0}\nshots: 1.0e+6\nseed: 7.0\n"))
     assert (cfg.grid_points, cfg.shots, cfg.seed) == (400, 10**6, 7)
     assert all(type(x) is int for x in (cfg.grid_points, cfg.shots, cfg.seed))
+
+
+def test_counts_at_their_caps_still_load(tmp_path):
+    cfg = load_config(_write(tmp_path, "grid: {points: 100000}\nsweep: {n_time: 100000, n_sets: 1000000}\n"))
+    assert (cfg.grid_points, cfg.sweep.n_time, cfg.sweep.n_sets) == (10**5, 10**5, 10**6)
 
 
 def test_integer_ramp_factor_is_summarised_as_a_float(tmp_path):
@@ -424,7 +441,7 @@ def test_cli_sweep_failed_set_is_loud(tmp_path, capsys, monkeypatch):
     sweep_cfg = load_config(cfg).sweep
     rng = np.random.default_rng(np.random.SeedSequence(sweep_cfg.seed, spawn_key=(1,)))
     drawn = explore.random_params(rng, sweep_cfg)
-    twin = explore._twin_variants(drawn)[0]
+    twin = twin_variants(drawn)[0]
     twin_ramp1 = [twin.omega1, twin.omega2, twin.phi1, twin.phi2]
     real = explore.variant_extrema
 
@@ -456,3 +473,13 @@ def test_sweep_archive_normalizes_work_by_omega_eff(tmp_path):
         om = omega_eff(float(row["omega1"]), float(row["omega2"]))
         assert float(row["omega_eff"]) == om
         assert float(row["min_w_over_omega"]) == float(row["min_w_rad_per_us"]) / om
+
+
+def test_readme_python_block_runs():
+    # the documented library example, run against this tree's src/
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

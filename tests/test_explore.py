@@ -14,7 +14,7 @@ from quasiwork.explore import (
     variant_extrema,
 )
 
-from conftest import drive_rows
+from conftest import drive_rows, twin_variants
 
 
 class _FixedRandom:
@@ -122,7 +122,7 @@ def _variant_stack(rng, n_sets):
     for _ in range(n_sets):
         drawn = random_params(rng, cfg)
         ket = random_pure_state(rng)
-        twins = explore._twin_variants(drawn)
+        twins = twin_variants(drawn)
         assert all(twin.phi1 == twin.phi2 for twin in twins)
         params += [drawn, *twins]
         kets += [ket] * 3
@@ -217,10 +217,7 @@ def test_sweep_record_structure():
     for drives, extrema in zip(result.drives, result.extrema):
         original, *twins = (model.DriveParams(*row) for row in drives.tolist())
         assert original.phi1 != original.phi2
-        for twin, phi in zip(twins, (original.phi1, original.phi2)):
-            assert twin.phi1 == twin.phi2
-            assert twin.phi1 == phi
-            assert twin.omega1 == original.omega1
+        assert tuple(twins) == twin_variants(original)
         for p, (window_end, min_req, _, max_aleph) in zip((original, *twins), extrema):
             assert 0.0 <= max_aleph <= bound
             assert window_end == pytest.approx(time_window(p))
@@ -228,6 +225,16 @@ def test_sweep_record_structure():
                 assert max_aleph > 0.0
     assert summary.n_skipped == 0
     assert summary.bound_violations == 0
+
+
+def test_summary_counts_aleph_past_the_bound():
+    # one variant just past sqrt(3) - 1 is a violation; one at the bound is not
+    bound = math.sqrt(3.0) - 1.0
+    extrema = np.zeros((1, 3, 4))
+    extrema[0, :, 3] = (bound + 1e-6, bound, 0.0)
+    result = explore.SweepResult(drives=np.tile([10.0, 12.0, 5.0, 3.0], (1, 3, 1)),
+                                 draws=np.zeros((1, 4)), kets=np.zeros((1, 3)), extrema=extrema)
+    assert explore._summarize(result, SweepConfig(n_sets=1)).bound_violations == 1
 
 
 def test_sweep_nonzero_negativity_fraction():

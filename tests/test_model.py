@@ -6,49 +6,28 @@ from quasiwork.model import (
     DriveParams,
     InitialStateSpec,
     InvalidSpec,
-    UnsupportedIndex,
     energy_basis,
-    gell_mann,
     hamiltonian_rot,
     hamiltonian_tilde,
     initial_state,
-    phase_generator,
-    spin_ops,
     state_vector,
 )
 
-from conftest import random_drive
+from conftest import SPIN_OPS, random_drive
 
 SQRT2 = np.sqrt(2.0)
 
 
-def test_gell_mann_entries():
-    assert np.array_equal(gell_mann(1), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
-    assert np.array_equal(gell_mann(2), np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]))
-    assert np.array_equal(gell_mann(6), np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
-    assert np.array_equal(gell_mann(7), np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]))
-
-
-def test_gell_mann_normalization_and_tracelessness():
-    for k in (1, 2, 6, 7):
-        lam = gell_mann(k)
-        assert abs(np.trace(lam @ lam) - 2.0) <= 1e-15
-        assert abs(np.trace(lam)) == 0.0
-        assert qmath.hermiticity_defect(lam) == 0.0
-
-
-def test_gell_mann_unsupported():
-    for k in (0, 3, 4, 5, 8, 9):
-        with pytest.raises(UnsupportedIndex):
-            gell_mann(k)
-
-
 def test_spin_ops():
-    ops = spin_ops()
-    assert ops["Sx1"][0, 1] == pytest.approx(1.0 / SQRT2)
-    assert np.array_equal(ops["Sz2"], np.diag([0.0, 0.0, -1.0]))
-    assert np.array_equal(ops["Sz1"], np.diag([1.0, 0.0, 0.0]))
-    comm = ops["Sx1"] @ ops["Sy1"] - ops["Sy1"] @ ops["Sx1"]
+    assert SPIN_OPS["Sx1"][0, 1] == pytest.approx(1.0 / SQRT2)
+    for name in ("Sx1", "Sy1", "Sx2", "Sy2"):
+        s = SPIN_OPS[name]
+        assert qmath.hermiticity_defect(s) == 0.0
+        assert abs(np.trace(s)) == 0.0
+        assert abs(np.trace(s @ s) - 1.0) <= 1e-15
+    assert np.array_equal(SPIN_OPS["Sz2"], np.diag([0.0, 0.0, -1.0]))
+    assert np.array_equal(SPIN_OPS["Sz1"], np.diag([1.0, 0.0, 0.0]))
+    comm = SPIN_OPS["Sx1"] @ SPIN_OPS["Sy1"] - SPIN_OPS["Sy1"] @ SPIN_OPS["Sx1"]
     assert np.allclose(comm, 1j * np.diag([1.0, -1.0, 0.0]), atol=1e-15)
 
 
@@ -91,7 +70,7 @@ def test_hamiltonian_rot_conjugation_identity(rng):
     for _ in range(25):
         params = random_drive(rng)
         t = rng.uniform(-1.0, 1.0)
-        d = np.diagonal(phase_generator(params))
+        d = np.array([params.phi1, 0.0, params.phi2])
         u_d = np.diag(np.exp(-1j * t * d))
         expected = u_d @ hamiltonian_rot(0.0, params) @ u_d.conj().T
         assert np.max(np.abs(hamiltonian_rot(t, params) - expected)) <= 1e-12
@@ -108,14 +87,13 @@ def test_hamiltonian_tilde_diagonal():
 
 
 def test_hamiltonian_tilde_spin_operator_form(rng):
-    ops = spin_ops()
     for _ in range(10):
         params = random_drive(rng)
         built = (
-            params.omega1 * ops["Sx1"]
-            - params.phi1 * ops["Sz1"]
-            + params.omega2 * ops["Sx2"]
-            + params.phi2 * ops["Sz2"]
+            params.omega1 * SPIN_OPS["Sx1"]
+            - params.phi1 * SPIN_OPS["Sz1"]
+            + params.omega2 * SPIN_OPS["Sx2"]
+            + params.phi2 * SPIN_OPS["Sz2"]
         )
         assert np.max(np.abs(hamiltonian_tilde(params) - built)) <= 1e-14
 
@@ -242,6 +220,14 @@ def test_initial_state_tomography(ref_rho, ref_params, ref_spec):
     for i in range(3):
         for f in range(3):
             assert abs(rho_e[i, f]) == pytest.approx(np.sqrt(p[i] * p[f]), abs=1e-10)
+
+
+def test_amplitude_gauge_anchors_a_small_minus_one_component():
+    # omega2 << omega1: the +/- eigenvectors' |-1> components are only 7.1e-4,
+    # yet they still anchor the gauge of every column
+    vectors = energy_basis(0.0, DriveParams(10.0, 0.01, 3.0, -2.0)).vectors
+    anchors = model._amplitude_gauge(vectors)[2]
+    assert np.all(anchors.imag == 0.0) and np.all(anchors.real > 0.0)
 
 
 def test_initial_state_purity_and_trace(rng):

@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiwork.analysis import NEGATIVITY_BOUND
-from quasiwork.explore import _twin_variants, time_window, variant_extrema
+from quasiwork.explore import time_window, variant_extrema
 from quasiwork.model import DriveParams, energy_basis, hamiltonian_rot
 from quasiwork.propagate import propagator_closed
 from quasiwork.qmath import unitarity_defect
 from quasiwork.schemes import COMPLEMENT_CUTOFF, kdq_direct, mhq_reconstruct, scheme_tables
 
-from conftest import drive_rows
+from conftest import drive_rows, twin_variants
 
 _unit = st.floats(-1.0, 1.0)
 _log_omega = st.floats(-3.0, 3.0)
@@ -110,7 +110,7 @@ def test_sweep_kernel_matches_the_oracle_at_extreme_drives(data):
     # on one stack; every extremum against kdq_direct on the same grid
     drawn = data.draw(drives())
     w1, w2 = drawn.omega1, drawn.omega2
-    variants = [drawn, *_twin_variants(drawn), DriveParams(w1, w2, 0.0, 0.0),
+    variants = [drawn, *twin_variants(drawn), DriveParams(w1, w2, 0.0, 0.0),
                 DriveParams(w1, w2, -0.0, -0.0)]
     ket = data.draw(pure_kets(drawn))
     rho = np.outer(ket, ket.conj())

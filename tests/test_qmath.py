@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from quasiwork import explore, model, qmath
+from quasiwork import model, qmath
 from quasiwork.qmath import DimensionMismatch, NonHermitianInput, herm_eig, unitary_exp
 
-from conftest import random_drive, random_hermitian
+from conftest import random_drive, random_hermitian, twin_variants
 
 
 def _loop_gauge(col):
@@ -20,7 +20,7 @@ def _loop_gauge(col):
 def _gauge_cases(rng, n):
     """Random matrices plus inputs with exactly equal anchor magnitudes."""
     ref = model.reference_params()
-    twins = [t for _ in range(5) for t in explore._twin_variants(random_drive(rng))]
+    twins = [t for _ in range(5) for t in twin_variants(random_drive(rng))]
     return [
         *(random_hermitian(rng, scale=float(rng.uniform(0.1, 10.0))) for _ in range(n)),
         model.hamiltonian_rot(0.0, ref),

@@ -7,7 +7,6 @@ from quasiwork.schemes import (
     DegenerateComplement,
     InvalidDistribution,
     NotRankOne,
-    epm_table,
     gate_to_zero,
     kdq_direct,
     ket_from_pure,
@@ -20,7 +19,7 @@ from quasiwork.schemes import (
     wtpm_nonselective,
 )
 
-from conftest import random_drive, random_pure_density
+from conftest import epm_table, random_drive, random_pure_density
 
 
 def _ket_row(psi, t, params):
@@ -136,6 +135,8 @@ def test_ket_from_pure_roundtrip(rng):
         assert np.max(np.abs(np.outer(v, v.conj()) - rho)) <= 1e-12
     with pytest.raises(ValueError):
         ket_from_pure(np.eye(3) / 3.0)
+    with pytest.raises(ValueError):  # purity 1 - 1e-4, to 5e-9
+        ket_from_pure(np.diag([1.0 - 5e-5, 5e-5, 0.0]))
 
 
 def test_tables_at_t0(ref_rho, ref_params, ref_spec):
@@ -310,8 +311,9 @@ def test_kdq_row_marginal_constant(ref_rho, ref_params, rng):
 
 
 def test_kdq_requires_unit_trace(ref_params):
-    with pytest.raises(ValueError):
-        kdq_direct(2.0 * np.eye(3) / 3.0, 0.1, ref_params)
+    for trace in (2.0, 1.01):
+        with pytest.raises(ValueError):
+            kdq_direct(trace * np.eye(3) / 3.0, 0.1, ref_params)
 
 
 def test_gate_fixes_zero_state():
@@ -455,6 +457,8 @@ def test_shot_noise_invalid():
         shot_noise_sample([0.5, 0.6, 0.2], 100, seed=0)
     with pytest.raises(InvalidDistribution):
         shot_noise_sample([0.9, 0.2, -0.1], 100, seed=0)
+    with pytest.raises(InvalidDistribution):  # sums to 1 + 1e-4
+        shot_noise_sample([0.5, 0.3, 0.2001], 100, seed=0)
     with pytest.raises(InvalidDistribution):
         shot_noise_sample([0.5, 0.3, 0.2], 0, seed=0)
 
