@@ -14,9 +14,9 @@ It records, in one JSON file at the root of the checkout:
   of ``REPEATS``: ``reproduce-fig2/3/4``, fig4 with ``--shots 1000000``,
   ``sweep`` at 1,000 and 10,000 sets, and ``selftest``;
 * per-layer min-of-N ``timeit`` timings from ``scripts/bench_layers.py``
-  (eigensolver, ``energy_basis``, the propagators, ``scheme_series``, a
-  96-variant sweep-kernel stack, the in-process 1,000-set sweep, CSV/JSON
-  writing), in a fresh interpreter;
+  (eigensolver, ``energy_basis``, the propagators, the gate chain,
+  ``scheme_series``, a 96-variant sweep-kernel stack, the in-process
+  1,000-set sweep, CSV/JSON writing), in a fresh interpreter;
 * one run of the Tier-1 test suite;
 * the provenance perfbench prints (CPU, cores, Python, numpy, BLAS, git rev).
 

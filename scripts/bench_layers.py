@@ -8,8 +8,9 @@ Each entry times one layer on the reference configuration with ``timeit``:
 repeats, and the best, median and worst seconds per call.  The layers:
 
 * ``herm_eig`` on one matrix and on a ``STACK``-matrix stack;
-* ``energy_basis``, ``propagator_closed`` and the ``kdq_direct`` oracle at
-  one time point;
+* ``energy_basis``, ``propagator_closed``, the ``kdq_direct`` oracle and
+  the gate chain ``run_protocol`` (all three schemes' rows) at one time
+  point;
 * ``propagator_stepped`` at ``STEPS`` steps over one characteristic period;
 * ``scheme_series`` on the figures' 400-point grid, exact and with
   ``SHOTS`` shots per row (fig2's per-point seeds);
@@ -37,7 +38,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from quasiwork import emitters, explore, model, propagate, qmath, schemes  # noqa: E402
-from quasiwork.config import default_config  # noqa: E402
+from quasiwork.config import load_config  # noqa: E402
 
 REPEATS = 7
 STACK = 96
@@ -60,7 +61,7 @@ def sweep_stack() -> tuple[np.ndarray, np.ndarray]:
 
 
 def main() -> int:
-    cfg = default_config()
+    cfg = load_config(None)
     p = cfg.params
     times = emitters.figure_times(cfg)
     rho = model.initial_state(cfg.state, model.energy_basis(0.0, p))
@@ -81,6 +82,7 @@ def main() -> int:
         "energy_basis": timing(lambda: model.energy_basis(0.1 * period, p)),
         "propagator_closed": timing(lambda: propagate.propagator_closed(0.1 * period, p)),
         "kdq_direct": timing(lambda: schemes.kdq_direct(rho, 0.1 * period, p)),
+        "run_protocol_one_point": timing(lambda: schemes.run_protocol(cfg.state, 0.1 * period, p)),
         f"propagator_stepped_{STEPS}": timing(lambda: propagate.propagator_stepped(period, p, STEPS)),
         "scheme_series_400_exact": timing(lambda: schemes.scheme_series(rho, times, p)),
         "scheme_series_400_shots": timing(
@@ -93,7 +95,7 @@ def main() -> int:
         out["write_fig2_series_csv"] = timing(
             lambda: emitters._write_series(Path(scratch) / "s.csv", times, series))
         out["write_fig2_meta_json"] = timing(lambda: emitters._write_json(Path(scratch) / "m.json", meta))
-        sweep_cfg = default_config(out_dir=Path(scratch) / "sweep")
+        sweep_cfg = load_config(None, out_dir=Path(scratch) / "sweep")
         out["emit_sweep_1000"] = timing(lambda: emitters.emit_sweep(sweep_cfg, sweep_result, sweep_summary))
     print(json.dumps(out))
     return 0

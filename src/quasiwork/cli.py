@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto the deliverables: ``reproduce-fig2``,
 ``reproduce-fig3``, ``reproduce-fig4`` emit figure-equivalent series files,
 ``sweep`` runs the random-parameter study, ``selftest`` runs the reduced
-invariant battery.  Exit codes: 0 success, 1 configuration error or a sweep
-set that cannot be evaluated, 2 selftest failure.
+invariant battery.  Exit codes: 0 success, 1 configuration error, a sweep
+set that cannot be evaluated or an output that cannot be written, 2 selftest
+failure.
 """
 
 from __future__ import annotations
@@ -72,20 +73,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "sweep":
-        try:
-            result, summary = run_sweep(config.sweep)
-        except SweepSetFailed as exc:
-            print(f"sweep error: {exc}", file=sys.stderr)
-            return 1
-        paths = emit_sweep(config, result, summary)
-        print(
-            f"sweep: {summary.n_sets} sets, "
-            f"max aleph {summary.global_max_aleph:.4f} ({summary.global_max_aleph_kind})"
-        )
-    else:
-        target = args.command.removeprefix("reproduce-")
-        paths = emit_figure(config, target)
+    try:
+        if args.command == "sweep":
+            try:
+                result, summary = run_sweep(config.sweep)
+            except SweepSetFailed as exc:
+                print(f"sweep error: {exc}", file=sys.stderr)
+                return 1
+            paths = emit_sweep(config, result, summary)
+            print(
+                f"sweep: {summary.n_sets} sets, "
+                f"max aleph {summary.global_max_aleph:.4f} ({summary.global_max_aleph_kind})"
+            )
+        else:
+            paths = emit_figure(config, args.command.removeprefix("reproduce-"))
+    except OSError as exc:  # the output directory cannot be made or written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -45,7 +45,7 @@ import yaml
 from .explore import MHZ_TO_ANGULAR, SweepConfig, _window
 from .model import REFERENCE_STATE_PHASES, REFERENCE_STATE_WEIGHTS, DriveParams, InitialStateSpec
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "default_config", "UNIT_SCALES"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "UNIT_SCALES"]
 
 UNIT_SCALES = {"angular_rad_per_us": 1.0, "MHz_times_2pi": 2.0 * math.pi, "MHz_plain": 1.0}
 
@@ -84,13 +84,11 @@ class RunConfig:
     raw_drive: dict = field(default_factory=dict)
 
 
-def default_config(**overrides) -> RunConfig:
-    """The built-in reference configuration (no file needed)."""
-    return _build_config({}, overrides)
-
-
 def load_config(path: str | Path | None, **overrides) -> RunConfig:
-    """Parse a YAML config file; CLI flags enter as keyword overrides."""
+    """Parse a YAML config file; CLI flags enter as keyword overrides.
+
+    With ``path`` None the built-in reference configuration is read, no file needed.
+    """
     data: dict = {}
     if path is not None:
         try:
@@ -142,8 +140,15 @@ def _build_config(data: dict, overrides: dict) -> RunConfig:
     points = _integer(grid["points"], "grid.points", 2, MAX_TIME_POINTS)
     if start < -1e-12:
         raise ConfigError(f"grid.start: must be >= 0, got {start}")
-    if end is not None and end <= start:
-        raise ConfigError(f"grid.end: must exceed grid.start, got {end} <= {start}")
+    # the grid's last time, as figure_times computes it; t * (omega_eff + max|phi|) bounds
+    # every |t * lambda| (Weyl), so a finite product keeps each exp(-i t lambda) finite
+    last = start + 2.0 * _window(params.omega1, params.omega2, params.phi1) if end is None else end
+    where = "grid.start" if end is None else "grid.end"
+    if not last > start:
+        raise ConfigError(f"{where}: the last time {last} us must exceed grid.start {start}")
+    if not math.isfinite(last * (math.sqrt(0.5 * (params.omega1**2 + params.omega2**2))
+                                 + max(abs(params.phi1), abs(params.phi2)))):
+        raise ConfigError(f"{where}: the last time {last} us is too far off for this drive")
 
     # numpy's multinomial takes a C long; SeedSequence takes no negative seed
     shots = None if data.get("shots") is None else _integer(data["shots"], "shots", 1, 2**63 - 1)

@@ -262,7 +262,12 @@ def emit_sweep(config: RunConfig, result: SweepResult, summary: SweepSummary) ->
 
 
 def _write_series(path: Path, times: np.ndarray, series: list[Series]) -> None:
-    """One row per (time point, series), time-major; ``.tolist()`` so repr gives plain floats."""
+    """One row per (time point, series), time-major; ``.tolist()`` so repr gives plain floats.
+
+    Refuses a NaN or infinite value before the file is opened, as ``_write_json`` does.
+    """
+    if not all(np.isfinite(v).all() and (se is None or np.isfinite(se).all()) for _, v, se in series):
+        raise ValueError(f"{path}: a series holds a non-finite value")
     cells = [(name, v.tolist(), None if se is None else se.tolist()) for name, v, se in series]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

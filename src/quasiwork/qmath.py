@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "HERMITIAN_TOL",
-    "PROJECTOR_TOL",
     "DimensionMismatch",
     "NonHermitianInput",
     "EigenSystem",
@@ -31,7 +30,6 @@ __all__ = [
     "unitary_exp",
     "hermiticity_defect",
     "unitarity_defect",
-    "projector_defect",
 ]
 
 
@@ -44,7 +42,6 @@ class NonHermitianInput(ValueError):
 
 
 HERMITIAN_TOL = 1e-12  # max |M - M^dag| relative to max |M|
-PROJECTOR_TOL = 1e-10  # max |P^2 - P| entrywise
 
 
 def _as_square(m) -> np.ndarray:
@@ -70,12 +67,6 @@ def unitarity_defect(u) -> float:
     """max entrywise deviation of U^dag U from the identity."""
     a = _as_square(u)
     return float(np.max(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]))))
-
-
-def projector_defect(p) -> float:
-    """max(|P^2 - P| entrywise, hermiticity defect of P)."""
-    a = _as_square(p)
-    return max(float(np.max(np.abs(a @ a - a))), hermiticity_defect(a))
 
 
 @dataclass(frozen=True)

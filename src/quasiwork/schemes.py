@@ -45,13 +45,11 @@ import numpy as np
 
 from .model import DriveParams, EnergyBasis, InitialStateSpec, _energy_basis0, energy_basis, state_vector
 from .propagate import _tilde_eig, _validate_closed_form, frame_amplitudes, propagator_closed
-from .qmath import PROJECTOR_TOL, projector_defect
 
 __all__ = [
     "SchemeTables",
     "QuasiTable",
     "DegenerateComplement",
-    "NotRankOne",
     "InvalidDistribution",
     "ket_from_pure",
     "tpm_table",
@@ -79,10 +77,6 @@ _ZERO_KET = 1  # matrix index of the bare |0> state
 
 class DegenerateComplement(ValueError):
     """Complement state undefined because p_i is (numerically) one."""
-
-
-class NotRankOne(ValueError):
-    """Expected a rank-1 projector."""
 
 
 class InvalidDistribution(ValueError):
@@ -283,18 +277,19 @@ def kdq_direct(rho, t: float, params: DriveParams) -> QuasiTable:
     )
 
 
-def gate_to_zero(xi) -> np.ndarray:
-    """Special-unitary gate R with R |v> proportional to |0> for Xi = |v><v|.
+def gate_to_zero(ket) -> np.ndarray:
+    """Special-unitary gate R with R|v> proportional to |0> for the unit ket v.
 
-    Householder reflection through (v - |0>), with the input phase-gauged so
-    the reflection is exact, then a global determinant-phase fix.  Raises
-    NotRankOne unless Xi is a rank-1 projector.
+    Householder reflection through (v - |0>), with v phase-gauged so the
+    reflection is exact, then a global determinant-phase fix.  Raises
+    ValueError unless v is a unit 3-vector.
     """
-    p = np.asarray(xi, dtype=np.complex128)
-    if p.shape != (3, 3) or projector_defect(p) > PROJECTOR_TOL or abs(np.trace(p).real - 1.0) > 1e-9:
-        raise NotRankOne("input is not a rank-1 projector")
-    k = int(np.argmax(np.diagonal(p).real))
-    v = p[:, k] / np.sqrt(p[k, k].real)
+    v = np.asarray(ket, dtype=np.complex128)
+    if v.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+    n2 = float(np.vdot(v, v).real)
+    if not abs(n2 - 1.0) <= 1e-9:  # negated, so a NaN fails too
+        raise ValueError(f"expected a unit ket, got <v|v> = {n2!r}")
     # phase so the |0> component is real >= 0; then v - e1 reflects v onto e1
     if abs(v[_ZERO_KET]) > 1e-15:
         v = v * (v[_ZERO_KET].conjugate() / abs(v[_ZERO_KET]))
@@ -310,61 +305,39 @@ def gate_to_zero(xi) -> np.ndarray:
     return r * np.exp(-1j * np.angle(det) / 3.0)
 
 
-def run_protocol(
-    spec: InitialStateSpec,
-    scheme: str,
-    t: float,
-    params: DriveParams,
-    label: int | None = None,
-    shots: int | None = None,
-    seed=None,
-) -> np.ndarray:
-    """One measured row: gate-prepare, evolve, gate-readout, count.
+def run_protocol(spec: InitialStateSpec, t: float, params: DriveParams, shots: int | None = None,
+                 seed=None) -> SchemeTables:
+    """The rows of all three schemes at time ``t``, each measured through its own gate chain.
 
-    scheme is "end", "tpm" or "wtpm"; "tpm"/"wtpm" need the initial label
-    index (0, 1, 2) = (+, 0, -).  Returns the corresponding scheme-table
-    row: p_end for "end", p_i * p(f|i) for "tpm", the weighted two-state
-    composition for "wtpm".  With ``shots`` each readout distribution is
-    sampled multinomially.
+    Each ket -- |E_i(0)> (i = 0..2), the kept complements, then the state --
+    is prepared from |0> by a gate, evolved by U(t), and read out by the gates
+    that rotate each |E_f(t)> onto |0>; its normalised |0> populations are
+    its row.  This is the literal experiment: it never reads the frame kernel
+    of ``scheme_tables``, which it reproduces.  With ``shots`` the stacked rows
+    are sampled by one ``shot_noise_sample`` call on ``default_rng(seed)``,
+    in the order ``scheme_series`` draws them.
     """
-    if scheme not in ("end", "tpm", "wtpm"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme != "end" and label not in (0, 1, 2):
-        raise ValueError("tpm/wtpm need label index 0, 1 or 2")
     basis0 = _energy_basis0(params)
     xi = state_vector(spec, basis0)
-    rng = np.random.default_rng(seed) if shots is not None else None
-
-    if scheme == "end":
-        return _protocol_run(xi, t, params, shots, rng)
-    p_i = float(spec.normalized_weights[label])
-    cond = _protocol_run(basis0.ket(label), t, params, shots, rng)
-    if scheme == "tpm":
-        return p_i * cond
-    if 1.0 - p_i > COMPLEMENT_CUTOFF:
-        cond_bar = _protocol_run(_complement_ket(xi, label, basis0), t, params, shots, rng)
-    else:
-        cond_bar = np.zeros(3)
-    return p_i * cond + (1.0 - p_i) * cond_bar
-
-
-def _protocol_run(psi, t, params, shots, rng) -> np.ndarray:
-    """Full gate chain for one prepared state: R_prep, U(t), readout gates."""
-    prep = gate_to_zero(np.outer(psi, psi.conj())).conj().T
-    zero = np.zeros(3, dtype=np.complex128)
-    zero[_ZERO_KET] = 1.0
-    prepared = prep @ zero
+    p_init = spec.normalized_weights
+    has_complement = 1.0 - p_init > COMPLEMENT_CUTOFF
+    kets = [basis0.ket(i) for i in range(3)]
+    kets += [_complement_ket(xi, i, basis0) for i in range(3) if has_complement[i]]
+    kets.append(xi)
     u = propagator_closed(t, params).u
     basis_t = energy_basis(t, params)
-    evolved = u @ prepared
-    p = np.empty(3)
-    for f in range(3):
-        readout = gate_to_zero(basis_t.projector(f))
-        p[f] = abs((readout @ evolved)[_ZERO_KET]) ** 2
-    p = p / p.sum()
-    if shots is None:
-        return p
-    return shot_noise_sample(p, shots, rng)
+    readouts = [gate_to_zero(basis_t.ket(f)) for f in range(3)]
+    rows = np.empty((len(kets), 3))
+    for k, ket in enumerate(kets):
+        evolved = u @ gate_to_zero(ket).conj().T[:, _ZERO_KET]  # R^dag |0>
+        rows[k] = [abs((r @ evolved)[_ZERO_KET]) ** 2 for r in readouts]
+    rows /= rows.sum(axis=1, keepdims=True)
+    if shots is not None:
+        rows = shot_noise_sample(rows, shots, np.random.default_rng(seed))
+    cond_bar = np.zeros((3, 3))
+    cond_bar[has_complement] = rows[3:-1]
+    return SchemeTables(t, rows[:3], cond_bar, rows[-1], p_init, basis0.energies.copy(),
+                        basis_t.energies.copy())
 
 
 def shot_noise_sample(p, shots: int, seed=None) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 
 from quasiwork import model
 from quasiwork.cli import main
-from quasiwork.config import ConfigError, default_config, load_config
+from quasiwork.config import ConfigError, load_config
 from quasiwork.emitters import emit_figure, figure_times, z_stderr_prediction
 from quasiwork.explore import time_window
 from quasiwork.schemes import scheme_tables
@@ -27,8 +27,8 @@ def _write(tmp_path, text):
     return path
 
 
-def test_default_config_matches_reference():
-    cfg = default_config()
+def test_load_config_without_a_file_matches_reference():
+    cfg = load_config(None)
     ref = model.reference_params()
     assert cfg.params.omega1 == pytest.approx(ref.omega1, rel=1e-12)
     assert cfg.params.phi1 == pytest.approx(ref.phi1, rel=1e-6)
@@ -120,7 +120,7 @@ def test_config_invalid_yaml(tmp_path):
 
 
 def test_figure_times_default_window():
-    cfg = default_config()
+    cfg = load_config(None)
     times = figure_times(cfg)
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(2.0 * time_window(cfg.params))
@@ -128,7 +128,7 @@ def test_figure_times_default_window():
 
 
 def test_fig3_t0_rows(tmp_path):
-    cfg = default_config(out_dir=tmp_path, grid_points=5)
+    cfg = load_config(None, out_dir=tmp_path, grid_points=5)
     emit_figure(cfg, "fig3")
     lines = (tmp_path / "fig3_series.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -145,7 +145,7 @@ def test_fig3_t0_rows(tmp_path):
 
 
 def test_fig3_has_negative_transition_cell(tmp_path):
-    cfg = default_config(out_dir=tmp_path, grid_points=80)
+    cfg = load_config(None, out_dir=tmp_path, grid_points=80)
     emit_figure(cfg, "fig3")
     neg = [
         float(l.split(",")[2])
@@ -156,7 +156,7 @@ def test_fig3_has_negative_transition_cell(tmp_path):
 
 
 def test_fig4_series_differ_at_peak(tmp_path):
-    cfg = default_config(out_dir=tmp_path, grid_points=80)
+    cfg = load_config(None, out_dir=tmp_path, grid_points=80)
     emit_figure(cfg, "fig4")
     rows = [l.split(",") for l in (tmp_path / "fig4_series.csv").read_text().splitlines()[1:]]
     w = {}
@@ -169,7 +169,7 @@ def test_fig4_series_differ_at_peak(tmp_path):
 
 
 def test_fig2_tomography(tmp_path):
-    cfg = default_config(out_dir=tmp_path, grid_points=4)
+    cfg = load_config(None, out_dir=tmp_path, grid_points=4)
     emit_figure(cfg, "fig2")
     rows = [l.split(",") for l in (tmp_path / "fig2_tomography.csv").read_text().splitlines()[1:]]
     assert len(rows) == 9
@@ -182,8 +182,8 @@ def test_fig2_tomography(tmp_path):
 
 
 def test_emitters_byte_stable(tmp_path):
-    cfg_a = default_config(out_dir=tmp_path / "a", grid_points=12, shots=5000)
-    cfg_b = default_config(out_dir=tmp_path / "b", grid_points=12, shots=5000)
+    cfg_a = load_config(None, out_dir=tmp_path / "a", grid_points=12, shots=5000)
+    cfg_b = load_config(None, out_dir=tmp_path / "b", grid_points=12, shots=5000)
     for target in ("fig2", "fig3", "fig4"):
         emit_figure(cfg_a, target)
         emit_figure(cfg_b, target)
@@ -192,7 +192,7 @@ def test_emitters_byte_stable(tmp_path):
 
 
 def test_noisy_emission_fills_stderr(tmp_path):
-    cfg = default_config(out_dir=tmp_path, grid_points=6, shots=10**6, seed=5)
+    cfg = load_config(None, out_dir=tmp_path, grid_points=6, shots=10**6, seed=5)
     emit_figure(cfg, "fig3")
     rows = [l.split(",") for l in (tmp_path / "fig3_series.csv").read_text().splitlines()[1:]]
     z_rows = [r for r in rows if r[1].startswith("z:")]
@@ -289,6 +289,9 @@ _SMALL_SWEEP = "sweep: {n_sets: 3, n_time: 20}"
         ("sweep", "sweep: {n_sets: 1.0e+15, n_time: 20}", []),
         ("reproduce-fig3", "grid: {points: 3}", ["--steps", "100001"]),
         ("reproduce-fig3", "grid: {start: -1.0e-6}", []),
+        ("reproduce-fig3", "grid: {end: 1.0e+307}", []),
+        ("reproduce-fig3", "grid: {start: 1.0e+307, end: null}", []),
+        ("reproduce-fig3", "grid: {start: 1.0e+20}", []),
     ],
 )
 def test_cli_bad_setting_is_one_config_error_line(tmp_path, capsys, monkeypatch, command, text, flags):
@@ -325,6 +328,29 @@ def test_json_artefacts_refuse_nan(tmp_path):
 
     with pytest.raises(ValueError):
         _write_json(tmp_path / "x.json", {"value": float("nan")})
+
+
+def test_series_csv_refuses_nan_and_writes_nothing(tmp_path):
+    from quasiwork.emitters import _write_series
+
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError):
+        _write_series(path, np.array([0.0, 1.0]), [("a", np.array([0.5, np.nan]), None)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [("reproduce-fig3", "afile"), ("reproduce-fig3", "afile/sub"), ("sweep", "afile")],
+)
+def test_cli_out_naming_a_file_is_one_output_error_line(tmp_path, capsys, command, out):
+    cfg = _write(tmp_path, _SMALL_SWEEP + "\ngrid: {points: 4}\n")
+    (tmp_path / "afile").write_bytes(b"keep me\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("output error: ")
+    assert (tmp_path / "afile").read_bytes() == b"keep me\n"
 
 
 def test_cli_selftest_takes_no_flags(tmp_path):
@@ -463,7 +489,7 @@ def test_sweep_archive_normalizes_work_by_omega_eff(tmp_path):
     from quasiwork.explore import SweepConfig, sweep
 
     result, summary = sweep(SweepConfig(n_sets=5, n_time=30, seed=2))
-    emit_sweep(default_config(out_dir=tmp_path), result, summary)
+    emit_sweep(load_config(None, out_dir=tmp_path), result, summary)
     lines = (tmp_path / "sweep_records.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert "omega_norm" not in header

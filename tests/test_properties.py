@@ -3,7 +3,9 @@
 Drives span omega from 1e-3 to 1e3 rad/us with ramp-to-amplitude ratios up to
 1e3, times reach ten characteristic periods for the measured rows and a
 thousand for the oracle's invariants, and states include populations within
-1e-9 of one, on both sides of the complement cutoff.
+1e-9 of one, on both sides of the complement cutoff.  Scaling every drive
+number by c scales H(t) by c and time by 1/c, which the sweep kernel and the
+measured rows must both respect.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from quasiwork.explore import time_window, variant_extrema
 from quasiwork.model import DriveParams, energy_basis, hamiltonian_rot
 from quasiwork.propagate import propagator_closed
 from quasiwork.qmath import unitarity_defect
-from quasiwork.schemes import COMPLEMENT_CUTOFF, kdq_direct, mhq_reconstruct, scheme_tables
+from quasiwork.schemes import COMPLEMENT_CUTOFF, kdq_direct, mhq_reconstruct, scheme_series, scheme_tables
 
 from conftest import drive_rows, twin_variants
 
@@ -133,3 +135,26 @@ def test_sweep_kernel_matches_the_oracle_at_extreme_drives(data):
         assert abs(min_req - z_min) <= 1e-9
         assert abs(min_w - w_min) <= 1e-9 * scale
         assert abs(max_aleph - aleph_max) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drives(), st.floats(0.05, 20.0), st.data())
+def test_drive_scale_invariance(params, c, data):
+    # c H(c t) is H(t): windows shrink by c, grid points map onto grid points,
+    # rows and min_req / max_aleph stay, and work values scale by c
+    scaled = DriveParams(*(c * x for x in (params.omega1, params.omega2, params.phi1, params.phi2)))
+    scale = max(params.omega1, params.omega2, abs(params.phi1), abs(params.phi2), 1.0)
+    ket = data.draw(pure_kets(params))
+    for n_time in (20, 200):
+        base, big = variant_extrema(drive_rows([params, scaled]), [ket, ket], n_time)
+        assert big[0] * c == pytest.approx(base[0], rel=1e-12, abs=0.0)
+        assert abs(big[1] - base[1]) <= 1e-12
+        assert abs(big[3] - base[3]) <= 1e-12
+        assert abs(big[2] / c - base[2]) <= 1e-12 * scale
+
+    rho = np.outer(ket, ket.conj())
+    fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    times = 3.0 * time_window(params) * np.array(fractions)
+    a, b = scheme_series(rho, times, params), scheme_series(rho, times / c, scaled)
+    for name in ("cond", "cond_bar", "p_end"):
+        assert np.max(np.abs(getattr(a, name) - getattr(b, name))) <= 1e-10, name

@@ -6,7 +6,6 @@ from quasiwork.model import energy_basis
 from quasiwork.schemes import (
     DegenerateComplement,
     InvalidDistribution,
-    NotRankOne,
     gate_to_zero,
     kdq_direct,
     ket_from_pure,
@@ -317,9 +316,7 @@ def test_kdq_requires_unit_trace(ref_params):
 
 
 def test_gate_fixes_zero_state():
-    target = np.zeros((3, 3), dtype=complex)
-    target[1, 1] = 1.0
-    r = gate_to_zero(target)
+    r = gate_to_zero(np.array([0.0, 1.0, 0.0]))
     assert abs(abs(r[1, 1]) - 1.0) <= 1e-12
 
 
@@ -329,9 +326,8 @@ def test_gate_conjugation_random(rng):
     for _ in range(50):
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        xi = np.outer(v, v.conj())
-        r = gate_to_zero(xi)
-        assert np.max(np.abs(r @ xi @ r.conj().T - target)) <= 1e-10
+        r = gate_to_zero(v)
+        assert np.max(np.abs(r @ np.outer(v, v.conj()) @ r.conj().T - target)) <= 1e-10
         assert abs(np.linalg.det(r) - 1.0) <= 1e-9
         assert abs(abs(np.vdot(np.array([0, 1, 0]), r @ v)) - 1.0) <= 1e-10
 
@@ -349,48 +345,58 @@ def test_gate_readout_identity(ref_params, rng):
         expected = _ket_row(v, t, ref_params)
         evolved = u @ np.outer(v, v.conj()) @ u.conj().T
         for f in range(3):
-            r = gate_to_zero(basis_t.projector(f))
+            r = gate_to_zero(basis_t.ket(f))
             got = (r @ evolved @ r.conj().T)[1, 1].real
             assert got == pytest.approx(expected[f], abs=1e-10)
 
 
 def test_gate_rejects_rank_two(ref_params):
+    # the gate takes a unit ket: a rank-two projector (a matrix) and a non-unit ket fail
     basis0 = energy_basis(0.0, ref_params)
-    with pytest.raises(NotRankOne):
-        gate_to_zero(basis0.projector(0) + basis0.projector(1))
-    with pytest.raises(NotRankOne):
-        gate_to_zero(0.5 * basis0.projector(0))
+    for bad in (basis0.projector(0) + basis0.projector(1), (1.0 + 1e-6) * basis0.ket(0)):
+        with pytest.raises(ValueError):
+            gate_to_zero(bad)
+
+
+_TABLE_ROWS = ("cond", "cond_bar", "p_end", "p_tpm", "p_wtpm")
 
 
 def test_protocol_matches_tables(ref_spec, ref_rho, ref_params, ref_period):
+    dropped = model.InitialStateSpec(weights=(0.0, 1.0, 0.0), phases=(0.0, 0.3, 0.0))
+    dropped_rho = model.initial_state(dropped, energy_basis(0.0, ref_params))
+    for spec, rho in ((ref_spec, ref_rho), (dropped, dropped_rho)):
+        for t in (0.11 * ref_period, 0.64 * ref_period):
+            measured = run_protocol(spec, t, ref_params)
+            tab = scheme_tables(rho, t, ref_params)
+            for name in _TABLE_ROWS:
+                assert np.max(np.abs(getattr(measured, name) - getattr(tab, name))) <= 1e-12, name
+    assert not measured.cond_bar[1].any()  # the complement of a certain outcome is not prepared
+
+
+def test_protocol_shots_match_scheme_tables(ref_spec, ref_rho, ref_params, ref_period):
+    # the same seed draws the same frequencies: one generator, rows in scheme_series' order
     for t in (0.11 * ref_period, 0.64 * ref_period):
-        tab = scheme_tables(ref_rho, t, ref_params)
-        assert np.max(np.abs(run_protocol(ref_spec, "end", t, ref_params) - tab.p_end)) <= 1e-12
-        for i in range(3):
-            assert (
-                np.max(np.abs(run_protocol(ref_spec, "tpm", t, ref_params, label=i) - tab.p_tpm[i]))
-                <= 1e-12
-            )
-            assert (
-                np.max(
-                    np.abs(run_protocol(ref_spec, "wtpm", t, ref_params, label=i) - tab.p_wtpm[i])
-                )
-                <= 1e-12
-            )
+        for shots in (1, 10**3, 10**6):
+            for seed in range(40):
+                measured = run_protocol(ref_spec, t, ref_params, shots=shots, seed=seed)
+                tab = scheme_tables(ref_rho, t, ref_params, shots=shots, seed=seed)
+                for name in ("cond", "cond_bar", "p_end"):
+                    assert np.array_equal(getattr(measured, name), getattr(tab, name)), (t, shots, seed)
 
 
 def test_protocol_single_shot_one_hot(ref_spec, ref_params):
-    row = run_protocol(ref_spec, "end", 0.05, ref_params, shots=1, seed=3)
-    assert sorted(row.tolist()) == [0.0, 0.0, 1.0]
+    tab = run_protocol(ref_spec, 0.05, ref_params, shots=1, seed=3)
+    for row in (*tab.cond, *tab.cond_bar, tab.p_end):
+        assert sorted(row.tolist()) == [0.0, 0.0, 1.0]
 
 
 def test_protocol_shot_noise_scale(ref_spec, ref_params, ref_period):
     # standard error of a measured conditional entry ~ sqrt(p(1-p)/shots)
     t = 0.3 * ref_period
     shots = 10**6
-    exact = run_protocol(ref_spec, "end", t, ref_params)
+    exact = run_protocol(ref_spec, t, ref_params).p_end
     samples = np.array(
-        [run_protocol(ref_spec, "end", t, ref_params, shots=shots, seed=s) for s in range(60)]
+        [run_protocol(ref_spec, t, ref_params, shots=shots, seed=s).p_end for s in range(60)]
     )
     for f in range(3):
         predicted = np.sqrt(exact[f] * (1 - exact[f]) / shots)
@@ -398,13 +404,6 @@ def test_protocol_shot_noise_scale(ref_spec, ref_params, ref_period):
             assert samples[:, f].std() <= 4e-6
         else:
             assert 0.5 <= samples[:, f].std() / predicted <= 2.0
-
-
-def test_protocol_validation(ref_spec, ref_params):
-    with pytest.raises(ValueError):
-        run_protocol(ref_spec, "nope", 0.1, ref_params)
-    with pytest.raises(ValueError):
-        run_protocol(ref_spec, "tpm", 0.1, ref_params)  # missing label
 
 
 def test_shot_noise_deterministic_and_exact_sum():
