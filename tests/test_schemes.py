@@ -358,9 +358,6 @@ def test_gate_rejects_rank_two(ref_params):
             gate_to_zero(bad)
 
 
-_TABLE_ROWS = ("cond", "cond_bar", "p_end", "p_tpm", "p_wtpm")
-
-
 def test_protocol_matches_tables(ref_spec, ref_rho, ref_params, ref_period):
     dropped = model.InitialStateSpec(weights=(0.0, 1.0, 0.0), phases=(0.0, 0.3, 0.0))
     dropped_rho = model.initial_state(dropped, energy_basis(0.0, ref_params))
@@ -368,7 +365,7 @@ def test_protocol_matches_tables(ref_spec, ref_rho, ref_params, ref_period):
         for t in (0.11 * ref_period, 0.64 * ref_period):
             measured = run_protocol(spec, t, ref_params)
             tab = scheme_tables(rho, t, ref_params)
-            for name in _TABLE_ROWS:
+            for name in ("cond", "cond_bar", "p_end", "p_tpm", "p_wtpm"):
                 assert np.max(np.abs(getattr(measured, name) - getattr(tab, name))) <= 1e-12, name
     assert not measured.cond_bar[1].any()  # the complement of a certain outcome is not prepared
 
