@@ -7,7 +7,7 @@ classical two-point-measurement baseline, and explores random drive
 parameters for extremal behaviour.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .analysis import (
     NEGATIVITY_BOUND,

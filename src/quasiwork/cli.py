@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import ConfigError, load_config
 from .emitters import emit_figure, emit_sweep
@@ -52,6 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse an out_dir that is a file or lies under one; creates nothing."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"{path} is not a directory")
+            return
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -75,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "sweep":
+            _check_out_dir(config.out_dir)  # before the sets are computed
             try:
                 result, summary = run_sweep(config.sweep)
             except SweepSetFailed as exc:

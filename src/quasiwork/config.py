@@ -43,7 +43,7 @@ from pathlib import Path
 import yaml
 
 from .explore import MHZ_TO_ANGULAR, SweepConfig, _window
-from .model import REFERENCE_STATE_PHASES, REFERENCE_STATE_WEIGHTS, DriveParams, InitialStateSpec
+from .model import REFERENCE_STATE_PHASES, REFERENCE_STATE_WEIGHTS, DriveParams, InitialStateSpec, omega_eff
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "UNIT_SCALES"]
 
@@ -74,7 +74,7 @@ class RunConfig:
     params: DriveParams
     state: InitialStateSpec
     grid_start: float
-    grid_end: float | None  # None = auto (two periods)
+    grid_end: float  # the grid's last time; by default grid_start plus two periods
     grid_points: int
     shots: int | None
     seed: int
@@ -140,15 +140,15 @@ def _build_config(data: dict, overrides: dict) -> RunConfig:
     points = _integer(grid["points"], "grid.points", 2, MAX_TIME_POINTS)
     if start < -1e-12:
         raise ConfigError(f"grid.start: must be >= 0, got {start}")
-    # the grid's last time, as figure_times computes it; t * (omega_eff + max|phi|) bounds
-    # every |t * lambda| (Weyl), so a finite product keeps each exp(-i t lambda) finite
-    last = start + 2.0 * _window(params.omega1, params.omega2, params.phi1) if end is None else end
     where = "grid.start" if end is None else "grid.end"
-    if not last > start:
-        raise ConfigError(f"{where}: the last time {last} us must exceed grid.start {start}")
-    if not math.isfinite(last * (math.sqrt(0.5 * (params.omega1**2 + params.omega2**2))
-                                 + max(abs(params.phi1), abs(params.phi2)))):
-        raise ConfigError(f"{where}: the last time {last} us is too far off for this drive")
+    end = start + 2.0 * _window(params.omega1, params.omega2, params.phi1) if end is None else end
+    if not end > start:
+        raise ConfigError(f"{where}: the last time {end} us must exceed grid.start {start}")
+    # t * (omega_eff + max|phi|) bounds every |t * lambda| (Weyl), so a finite
+    # product keeps each exp(-i t lambda) finite
+    rate = omega_eff(params.omega1, params.omega2) + max(abs(params.phi1), abs(params.phi2))
+    if not math.isfinite(end * rate):
+        raise ConfigError(f"{where}: the last time {end} us is too far off for this drive")
 
     # numpy's multinomial takes a C long; SeedSequence takes no negative seed
     shots = None if data.get("shots") is None else _integer(data["shots"], "shots", 1, 2**63 - 1)

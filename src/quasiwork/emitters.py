@@ -11,14 +11,13 @@ independent of evaluation order.
 Series files share one schema: columns (t_us, series, value, stderr); the
 stderr column is empty for exact (noiseless) runs.  Work values, in fig4
 and in the sweep archive, are emitted both in rad/us and normalized by the
-ladder spacing omega_eff = sqrt((omega1^2 + omega2^2)/2).
+ladder spacing ``model.omega_eff``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import __version__
 from .analysis import NEGATIVITY_BOUND, _per_table_sum, avg_work_mhq, avg_work_tpm, total_negativity
 from .config import RunConfig
 from .explore import VARIANT_KINDS, SweepResult, SweepSummary, time_window
-from .model import ENERGY_LABELS, _amplitude_gauge, _energy_basis0, initial_state
+from .model import ENERGY_LABELS, _amplitude_gauge, _energy_basis0, initial_state, omega_eff
 from .schemes import SchemeTables, mhq_reconstruct, scheme_series
 
 __all__ = [
@@ -44,19 +43,8 @@ Series = tuple[str, np.ndarray, "np.ndarray | None"]
 
 
 def figure_times(config: RunConfig) -> np.ndarray:
-    """Inclusive time grid; the default window is two characteristic periods."""
-    end = config.grid_end
-    if end is None:
-        end = config.grid_start + 2.0 * time_window(config.params)
-    return np.linspace(config.grid_start, end, config.grid_points)
-
-
-def omega_eff(omega1: float, omega2: float) -> float:
-    """Ladder spacing sqrt((omega1^2 + omega2^2)/2) that normalizes every work value.
-
-    Python floats only: their ``x**2`` is libm pow, at times an ulp off numpy's x*x.
-    """
-    return math.sqrt(0.5 * (omega1**2 + omega2**2))
+    """Inclusive time grid from ``grid_start`` to ``grid_end``."""
+    return np.linspace(config.grid_start, config.grid_end, config.grid_points)
 
 
 def _tables(config: RunConfig, fig_tag: str, times: np.ndarray) -> SchemeTables:

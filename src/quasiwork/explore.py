@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DriveParams, _hamiltonian_stack
+from .model import DriveParams, _hamiltonian_stack, _tilde_stack
 from .qmath import herm_eig
 
 __all__ = [
@@ -202,7 +202,7 @@ def time_window(params: DriveParams) -> float:
 
 
 def _window(omega1: float, omega2: float, phi1: float, *_) -> float:
-    # Python floats, as in emitters.omega_eff: the window keeps its bits
+    # Python floats, as in model.omega_eff: the window keeps its bits
     return 2.0 * math.pi / math.sqrt(2.0 * (omega1**2 + omega2**2) + phi1**2)
 
 
@@ -218,11 +218,8 @@ def variant_extrema(drives, kets, n_time: int) -> np.ndarray:
     kets = np.asarray(kets, dtype=np.complex128)
     t_end = np.array([_window(*row) for row in drives.tolist()])
     w1, w2, f1, f2 = drives.T
-    h0 = _hamiltonian_stack(0.0, w1, w2, f1, f2)  # bitwise hamiltonian_rot(0.0, p) per variant
-    h_tilde = h0.copy()
-    h_tilde[:, 0, 0], h_tilde[:, 2, 2] = -f1, -f2  # and hamiltonian_tilde(p)
-    eig0 = herm_eig(h0)
-    eig_g = herm_eig(h_tilde)
+    eig0 = herm_eig(_hamiltonian_stack(0.0, w1, w2, f1, f2))  # bitwise hamiltonian_rot(0.0, p)
+    eig_g = herm_eig(_tilde_stack(w1, w2, f1, f2))  # and hamiltonian_tilde(p), per variant
     v = eig0.vectors[..., ::-1]  # descending labels (+, 0, -)
     energies = eig0.values[..., ::-1]
     a = v.conj().swapaxes(-1, -2) @ eig_g.vectors

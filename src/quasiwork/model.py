@@ -41,6 +41,7 @@ __all__ = [
     "InvalidSpec",
     "hamiltonian_rot",
     "hamiltonian_tilde",
+    "omega_eff",
     "energy_basis",
     "initial_state",
     "state_vector",
@@ -107,10 +108,22 @@ def hamiltonian_tilde(params: DriveParams) -> np.ndarray:
     H_tilde = omega1*Sx1 - phi1*Sz1 + omega2*Sx2 + phi2*Sz2, i.e. H(0) with
     the phase ramp rates subtracted on the diagonal: diag(-phi1, 0, -phi2).
     """
-    h = hamiltonian_rot(0.0, params)
-    h[0, 0] = -params.phi1
-    h[2, 2] = -params.phi2
+    return _tilde_stack(params.omega1, params.omega2, params.phi1, params.phi2)
+
+
+def _tilde_stack(omega1, omega2, phi1, phi2) -> np.ndarray:
+    """H_tilde of ``hamiltonian_tilde`` for arguments broadcast together, shape (..., 3, 3)."""
+    h = _hamiltonian_stack(0.0, omega1, omega2, phi1, phi2)
+    h[..., 0, 0], h[..., 2, 2] = -phi1, -phi2
     return h
+
+
+def omega_eff(omega1: float, omega2: float) -> float:
+    """Ladder spacing sqrt((omega1^2 + omega2^2)/2), the W of the spectrum (+W, 0, -W).
+
+    Python floats only: their ``x**2`` is libm pow, at times an ulp off numpy's x*x.
+    """
+    return math.sqrt(0.5 * (omega1**2 + omega2**2))
 
 
 @dataclass(frozen=True)
@@ -137,13 +150,13 @@ class EnergyBasis:
 def energy_basis(t: float, params: DriveParams) -> EnergyBasis:
     """Diagonalize H(t) and repackage with (+, 0, -) labels.
 
-    The spectrum is always (+W, 0, -W) with W = sqrt((omega1^2 + omega2^2)/2)
-    > 0, so the labels never collide.
+    The spectrum is always (+W, 0, -W) with W = ``omega_eff`` > 0, so the
+    labels never collide.
     """
     eig = herm_eig(hamiltonian_rot(t, params))
-    order = (2, 1, 0)  # ascending -> descending = (+, 0, -) labels
-    energies = np.array([eig.values[k] for k in order])
-    vectors = np.stack([eig.vectors[:, k] for k in order], axis=1)
+    # ascending -> descending = (+, 0, -) labels; copied to C order for the matmuls
+    energies = eig.values[::-1].copy()
+    vectors = eig.vectors[:, ::-1].copy()
     projectors = tuple(np.outer(vectors[:, k], vectors[:, k].conj()) for k in range(3))
     return EnergyBasis(t=t, energies=energies, vectors=vectors, projectors=projectors)
 
@@ -198,27 +211,16 @@ class InitialStateSpec:
 def _amplitude_gauge(vectors: np.ndarray) -> np.ndarray:
     """Re-phase eigenvector columns for amplitude specifications.
 
-    Each column is rotated so its highest-index component of non-negligible
-    magnitude is real and positive.  For this model's t=0 eigenvectors that
-    is the |-1> component, which is generically nonzero; the convention
-    matches the textbook form of the equal-drive eigenstates
-    (1, +-sqrt2, 1)/2 and (-1, 0, 1)/sqrt2, which is what the reference
-    state phases were calibrated against.  The eigensolver's own gauge
-    (largest component positive) would flip two of the three columns and
-    silently change the encoded state.
+    Each column is rotated so its |-1> component is real and positive; a
+    column whose |-1> component is exactly zero keeps the eigensolver's
+    gauge.  The convention matches the textbook form of the equal-drive
+    eigenstates (1, +-sqrt2, 1)/2 and (-1, 0, 1)/sqrt2, which is what the
+    reference state phases were calibrated against.  The eigensolver's own
+    gauge (largest component positive) would flip two of the three columns
+    and silently change the encoded state.
     """
-    out = vectors.copy()
-    d = out.shape[0]
-    for k in range(d):
-        col = out[:, k]
-        idx = max(
-            (r for r in range(d) if abs(col[r]) > 1e-6),
-            default=int(np.argmax(np.abs(col))),
-        )
-        z = col[idx]
-        if abs(z) > 0.0:
-            out[:, k] = col * (z.conjugate() / abs(z))
-    return out
+    z = vectors[2]
+    return vectors * np.divide(z.conj(), np.abs(z), out=np.ones_like(z), where=z != 0)
 
 
 def state_vector(spec: InitialStateSpec, basis0: EnergyBasis) -> np.ndarray:

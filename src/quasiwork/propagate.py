@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .model import DriveParams, _hamiltonian_stack, hamiltonian_rot, hamiltonian_tilde
+from .model import DriveParams, _hamiltonian_stack, hamiltonian_rot, hamiltonian_tilde, omega_eff
 from .qmath import herm_eig
 
 __all__ = ["PropagatorResult", "propagator_closed", "frame_amplitudes", "propagator_stepped"]
@@ -40,19 +40,14 @@ class PropagatorResult:
     method: str
 
 
-_closed_form_validated = False
-
-
+@cache
 def _validate_closed_form() -> None:
     """One-time check of the factorized propagator against the Schrodinger ODE.
 
     Uses a central difference (U(t+d) - U(t-d))/(2d) ~ -i H(t) U(t) at three
-    fixed pseudo-random (params, t) points; O(d^2) residual tolerance.
+    fixed pseudo-random (params, t) points; O(d^2) residual tolerance.  A
+    failure raises, which the cache does not keep, so the next call checks again.
     """
-    global _closed_form_validated
-    if _closed_form_validated:
-        return
-    _closed_form_validated = True  # set first; _closed_u below must not recurse
     rng = np.random.default_rng(0x5EEDED)
     delta = 1e-6
     for _ in range(3):
@@ -67,7 +62,6 @@ def _validate_closed_form() -> None:
         rhs = -1j * hamiltonian_rot(t, params) @ _closed_u(t, params)
         scale = max(np.linalg.norm(rhs), 1.0)
         if np.linalg.norm(lhs - rhs) / scale > 1e-6:
-            _closed_form_validated = False
             raise AssertionError(
                 "closed-form propagator failed its Schrodinger self-test; "
                 "the frame factorization does not match the Hamiltonian"
@@ -109,7 +103,7 @@ def propagator_stepped(t: float, params: DriveParams, n_steps: int) -> Propagato
     if t == 0.0:
         return PropagatorResult(t=0.0, u=np.eye(3, dtype=np.complex128), method=f"stepped({n_steps})")
     dt = t / n_steps
-    omega = math.sqrt(0.5 * (params.omega1**2 + params.omega2**2))
+    omega = omega_eff(params.omega1, params.omega2)
     c1 = -1j * math.sin(dt * omega) / omega
     c2 = -2.0 * (math.sin(0.5 * dt * omega) / omega) ** 2  # cos - 1 without cancellation
     eye = np.eye(3, dtype=np.complex128)

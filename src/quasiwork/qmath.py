@@ -28,7 +28,6 @@ __all__ = [
     "EigenSystem",
     "herm_eig",
     "unitary_exp",
-    "hermiticity_defect",
     "unitarity_defect",
 ]
 
@@ -53,12 +52,8 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """max |M - M^dag| scaled by max(|M|, 1); for a stack, the worst matrix on its own scale."""
-    return _hermiticity_defect(_as_square(m))
-
-
 def _hermiticity_defect(a: np.ndarray) -> float:
+    """max |M - M^dag| scaled by max(|M|, 1); for a stack, the worst matrix on its own scale."""
     scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / scale))
 

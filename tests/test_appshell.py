@@ -127,6 +127,11 @@ def test_figure_times_default_window():
     assert len(times) == cfg.grid_points
 
 
+def test_grid_end_null_resolves_to_the_last_figure_time(tmp_path):
+    cfg = load_config(_write(tmp_path, "grid: {start: 0.25, end: null}\n"))
+    assert cfg.grid_end == figure_times(cfg)[-1] == 0.25 + 2.0 * time_window(cfg.params)
+
+
 def test_fig3_t0_rows(tmp_path):
     cfg = load_config(None, out_dir=tmp_path, grid_points=5)
     emit_figure(cfg, "fig3")
@@ -341,9 +346,13 @@ def test_series_csv_refuses_nan_and_writes_nothing(tmp_path):
 
 @pytest.mark.parametrize(
     "command, out",
-    [("reproduce-fig3", "afile"), ("reproduce-fig3", "afile/sub"), ("sweep", "afile")],
+    [("reproduce-fig3", "afile"), ("reproduce-fig3", "afile/sub"), ("sweep", "afile"), ("sweep", "afile/sub")],
 )
-def test_cli_out_naming_a_file_is_one_output_error_line(tmp_path, capsys, command, out):
+def test_cli_out_naming_a_file_is_one_output_error_line(tmp_path, capsys, monkeypatch, command, out):
+    from quasiwork import cli
+
+    # the sweep refuses such an --out before it computes any set
+    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("the sweep ran"))
     cfg = _write(tmp_path, _SMALL_SWEEP + "\ngrid: {points: 4}\n")
     (tmp_path / "afile").write_bytes(b"keep me\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 1
@@ -485,8 +494,9 @@ def test_cli_sweep_failed_set_is_loud(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_archive_normalizes_work_by_omega_eff(tmp_path):
-    from quasiwork.emitters import emit_sweep, omega_eff
+    from quasiwork.emitters import emit_sweep
     from quasiwork.explore import SweepConfig, sweep
+    from quasiwork.model import omega_eff
 
     result, summary = sweep(SweepConfig(n_sets=5, n_time=30, seed=2))
     emit_sweep(load_config(None, out_dir=tmp_path), result, summary)

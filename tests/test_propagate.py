@@ -123,7 +123,7 @@ def test_eigenstate_mixture_projection_constant(ref_params, rng):
 def test_closed_form_self_check_detects_wrong_generator(ref_params, monkeypatch):
     # the one-time factorization self-test must bite if the Hamiltonian and
     # the factorized propagator ever disagree
-    monkeypatch.setattr(propagate, "_closed_form_validated", False)
+    propagate._validate_closed_form.cache_clear()
     monkeypatch.setattr(
         propagate, "hamiltonian_rot", lambda t, p: np.eye(3, dtype=complex)
     )
